@@ -566,23 +566,60 @@ impl<'a> QueryRewriter<'a> {
         }
         let right = self.entity_access(&binding, &entity)?;
         let kind = if j.left { JoinKind::Left } else { JoinKind::Inner };
+        let mut on = OnConjuncts::split(j.on.as_ref(), &scope);
         let mut joined = match &j.via {
-            Some(rel_name) => self.join_via(scope, right, rel_name, &entity, kind)?,
-            None => {
-                // Pure ON join (cartesian if no ON): join with no keys.
-                let mut s = merge_scopes(scope, right, kind, vec![], vec![]);
-                s.bindings.push((binding.clone(), entity.clone()));
-                s
-            }
+            Some(rel_name) => self.join_via(scope, right, rel_name, &entity, kind, &mut on)?,
+            // No keys unless ON supplies them (cartesian without ON).
+            None => self.merge_on(scope, right, kind, vec![], vec![], &mut on)?,
         };
         if !joined.bindings.iter().any(|(b, _)| *b == binding) {
             joined.bindings.push((binding.clone(), entity.clone()));
         }
-        if let Some(on) = &j.on {
-            let pred = self.expr(&joined, on)?;
+        // What the join could not place runs above it. That is sound for an
+        // inner join only: above a LEFT join it would drop the rows the
+        // join pads with NULLs.
+        for c in on.unplaced() {
+            let pred = self.expr(&joined, c)?;
+            if kind == JoinKind::Left {
+                return Err(MappingError::Unsupported(format!(
+                    "LEFT JOIN {binding} ON: {c:?} must equate a bound column with a column \
+                     of '{binding}' or read '{binding}' alone"
+                )));
+            }
             joined.plan = joined.plan.filter(pred);
         }
         Ok(joined)
+    }
+
+    /// Join `scope` to `right`, the joined entity's input, on `lk = rk`
+    /// plus the ON clause's key pairs, after filtering `right` by the ON
+    /// conjuncts that read it alone. Conjuncts that do not resolve against
+    /// `right` move to `on.residual`.
+    fn merge_on(
+        &self,
+        scope: Scope,
+        mut right: Scope,
+        kind: JoinKind,
+        mut lk: Vec<Expr>,
+        mut rk: Vec<Expr>,
+        on: &mut OnConjuncts<'_>,
+    ) -> MappingResult<Scope> {
+        for c in std::mem::take(&mut on.right) {
+            match self.expr(&right, c) {
+                Ok(pred) => right.plan = right.plan.filter(pred),
+                Err(_) => on.residual.push(c),
+            }
+        }
+        for (c, bound, joined) in std::mem::take(&mut on.keys) {
+            match self.expr(&right, joined) {
+                Ok(r) => {
+                    lk.push(self.expr(&scope, bound)?);
+                    rk.push(r);
+                }
+                Err(_) => on.residual.push(c),
+            }
+        }
+        Ok(merge_scopes(scope, right, kind, lk, rk))
     }
 
     /// Identify which end of `rel` matches an existing binding, returning
@@ -641,6 +678,7 @@ impl<'a> QueryRewriter<'a> {
         rel_name: &str,
         new_entity: &str,
         kind: JoinKind,
+        on: &mut OnConjuncts<'_>,
     ) -> MappingResult<Scope> {
         let rel = self.lw.schema.require_relationship(rel_name)?.clone();
         let (bound_binding, _bound_entity, bound_is_from) =
@@ -691,7 +729,7 @@ impl<'a> QueryRewriter<'a> {
                         })
                         .collect::<MappingResult<_>>()?;
                     let rk = key_exprs(&right, &new_binding, &one_key_names)?;
-                    Ok(merge_scopes(scope, right, kind, lk, rk))
+                    self.merge_on(scope, right, kind, lk, rk, on)
                 } else {
                     // new side carries the FK.
                     let lk = key_exprs(&scope, &bound_binding, &one_key_names)?;
@@ -703,7 +741,7 @@ impl<'a> QueryRewriter<'a> {
                             )
                         })
                         .collect::<MappingResult<_>>()?;
-                    Ok(merge_scopes(scope, right, kind, lk, rk))
+                    self.merge_on(scope, right, kind, lk, rk, on)
                 }
             }
             RelHome::JoinTable { table } => {
@@ -758,7 +796,7 @@ impl<'a> QueryRewriter<'a> {
                             })
                     })
                     .collect::<MappingResult<_>>()?;
-                Ok(merge_scopes(scope, combined_scope, kind, lk, rk))
+                self.merge_on(scope, combined_scope, kind, lk, rk, on)
             }
             RelHome::CoLocated { table, format } => match format {
                 CoFormat::Factorized => {
@@ -788,7 +826,7 @@ impl<'a> QueryRewriter<'a> {
                     // bound side's key.
                     let lk = key_exprs(&scope, &bound_binding, &bound_keys)?;
                     let rk = key_exprs(&pair_scope, &bound_binding, &bound_keys)?;
-                    let mut merged = merge_scopes(scope, pair_scope, kind, lk, rk);
+                    let mut merged = self.merge_on(scope, pair_scope, kind, lk, rk, on)?;
                     // The bound side's columns now appear twice (from the
                     // original scope and the pair stream); keep provenance
                     // on the first occurrence by renaming the duplicates.
@@ -796,7 +834,7 @@ impl<'a> QueryRewriter<'a> {
                     // The pair stream only carries the co-located level's
                     // (delta) columns; join the new entity's ancestor
                     // tables for inherited attributes.
-                    self.join_new_ancestors(merged, &new_binding, new_end_entity)
+                    self.join_new_ancestors(merged, &new_binding, new_end_entity, kind)
                 }
                 CoFormat::Denormalized => {
                     // Pair rows: both sides present.
@@ -836,9 +874,9 @@ impl<'a> QueryRewriter<'a> {
                     };
                     let lk = key_exprs(&scope, &bound_binding, &bound_keys)?;
                     let rk = key_exprs(&pair_scope, &bound_binding, &bound_keys)?;
-                    let mut merged = merge_scopes(scope, pair_scope, kind, lk, rk);
+                    let mut merged = self.merge_on(scope, pair_scope, kind, lk, rk, on)?;
                     dedupe_cols(&mut merged);
-                    self.join_new_ancestors(merged, &new_binding, new_end_entity)
+                    self.join_new_ancestors(merged, &new_binding, new_end_entity, kind)
                 }
             },
             RelHome::ImplicitWeak { weak } => {
@@ -854,14 +892,16 @@ impl<'a> QueryRewriter<'a> {
                     .clone();
                 // Fast path (mapping M5): the weak entity is folded into the
                 // bound owner — unnest the array column already in scope
-                // instead of re-scanning the owner's table.
+                // instead of re-scanning the owner's table. It has no
+                // separate weak input to filter, so a LEFT join whose ON
+                // conjuncts must run below the join takes the general path.
                 let weak_is_new = self
                     .lw
                     .schema
                     .hierarchy_root(new_end_entity)?
                     .name
                     == weak;
-                if weak_is_new {
+                if weak_is_new && (kind == JoinKind::Inner || on.is_empty()) {
                     if let Ok(EntityHome::FoldedWeak { .. }) = self.lw.entity_home(&weak) {
                         if let Some(fold_idx) =
                             scope.find(&bound_binding, &format!("#fold:{weak}"))
@@ -884,7 +924,7 @@ impl<'a> QueryRewriter<'a> {
                 // symmetric regardless of which end is bound.
                 let lk = key_exprs(&scope, &bound_binding, &owner_keys)?;
                 let rk = key_exprs(&right, &new_binding, &owner_keys)?;
-                Ok(merge_scopes(scope, right, kind, lk, rk))
+                self.merge_on(scope, right, kind, lk, rk, on)
             }
         }
     }
@@ -952,12 +992,15 @@ impl<'a> QueryRewriter<'a> {
     }
 
     /// Join the ancestor levels of a co-located entity so that inherited
-    /// attributes become visible.
+    /// attributes become visible. Every co-located instance has its
+    /// ancestor rows, so `kind` only matters for the rows a LEFT join
+    /// padded: an inner join here would drop them.
     fn join_new_ancestors(
         &self,
         mut scope: Scope,
         new_binding: &str,
         new_entity: &str,
+        kind: JoinKind,
     ) -> MappingResult<Scope> {
         let chain: Vec<EntitySet> =
             self.lw.schema.ancestry(new_entity)?.into_iter().cloned().collect();
@@ -989,7 +1032,7 @@ impl<'a> QueryRewriter<'a> {
                 })
                 .collect::<MappingResult<_>>()?;
             let level_scope = Scope { plan: level_plan, cols: level_cols, bindings: vec![] };
-            scope = merge_scopes(scope, level_scope, JoinKind::Inner, lk, rk);
+            scope = merge_scopes(scope, level_scope, kind, lk, rk);
             dedupe_cols(&mut scope);
         }
         Ok(scope)
@@ -1633,27 +1676,109 @@ fn collect_column_refs_stmt(stmt: &SelectStmt, out: &mut Vec<String>) {
 }
 
 fn collect_column_refs(e: &QExpr, out: &mut Vec<String>) {
+    for_each_column(e, &mut |_, name| out.push(name.to_string()));
+}
+
+/// Call `f(qualifier, name)` for every column reference in `e`.
+fn for_each_column(e: &QExpr, f: &mut dyn FnMut(Option<&str>, &str)) {
     match e {
-        QExpr::Column { name, .. } => out.push(name.clone()),
+        QExpr::Column { qualifier, name } => f(qualifier.as_deref(), name),
         QExpr::Lit(_) | QExpr::Param(_) => {}
-        QExpr::FieldAccess { base, .. } => collect_column_refs(base, out),
+        QExpr::FieldAccess { base, .. } => for_each_column(base, f),
         QExpr::Binary { left, right, .. } => {
-            collect_column_refs(left, out);
-            collect_column_refs(right, out);
+            for_each_column(left, f);
+            for_each_column(right, f);
         }
-        QExpr::Not(x) | QExpr::Neg(x) | QExpr::Unnest(x) => collect_column_refs(x, out),
+        QExpr::Not(x) | QExpr::Neg(x) | QExpr::Unnest(x) => for_each_column(x, f),
         QExpr::Agg { arg, .. } => {
             if let Some(a) = arg {
-                collect_column_refs(a, out);
+                for_each_column(a, f);
             }
         }
         QExpr::Call { args, .. } => {
             for a in args {
-                collect_column_refs(a, out);
+                for_each_column(a, f);
             }
         }
-        QExpr::InList { expr, .. } => collect_column_refs(expr, out),
-        QExpr::IsNull(x) | QExpr::IsNotNull(x) => collect_column_refs(x, out),
+        QExpr::InList { expr, .. } => for_each_column(expr, f),
+        QExpr::IsNull(x) | QExpr::IsNotNull(x) => for_each_column(x, f),
+    }
+}
+
+/// The conjuncts of a JOIN's ON clause, sorted by where they can run.
+#[derive(Default)]
+struct OnConjuncts<'q> {
+    /// `bound = joined` equalities as `(conjunct, bound side, joined side)`:
+    /// hash-join key pairs.
+    keys: Vec<(&'q QExpr, &'q QExpr, &'q QExpr)>,
+    /// Conjuncts that read no bound column: filters on the joined input.
+    right: Vec<&'q QExpr>,
+    /// Conjuncts that read bound columns and are not key pairs, plus those
+    /// the join could not place.
+    residual: Vec<&'q QExpr>,
+}
+
+impl<'q> OnConjuncts<'q> {
+    /// Split `on` at its top-level ANDs. A column is bound when it
+    /// resolves in `bound` (the scope before the join); any other column
+    /// belongs to the joined entity.
+    fn split(on: Option<&'q QExpr>, bound: &Scope) -> OnConjuncts<'q> {
+        // (reads a bound column, reads a joined column)
+        let sides = |e: &QExpr| {
+            let (mut reads_bound, mut reads_joined) = (false, false);
+            for_each_column(e, &mut |qualifier, name| {
+                let is_bound = match qualifier {
+                    Some(q) => bound.bindings.iter().any(|(b, _)| b == q),
+                    None => !matches!(bound.find_unqualified(name), Ok(None)),
+                };
+                if is_bound {
+                    reads_bound = true;
+                } else {
+                    reads_joined = true;
+                }
+            });
+            (reads_bound, reads_joined)
+        };
+        let mut out = OnConjuncts::default();
+        let mut stack: Vec<&QExpr> = on.into_iter().collect();
+        while let Some(c) = stack.pop() {
+            if let QExpr::Binary { op: QBinOp::And, left, right } = c {
+                stack.push(right);
+                stack.push(left);
+                continue;
+            }
+            if let QExpr::Binary { op: QBinOp::Eq, left, right } = c {
+                match (sides(left), sides(right)) {
+                    ((true, false), (false, true)) => {
+                        out.keys.push((c, left, right));
+                        continue;
+                    }
+                    ((false, true), (true, false)) => {
+                        out.keys.push((c, right, left));
+                        continue;
+                    }
+                    _ => {}
+                }
+            }
+            if sides(c).0 {
+                out.residual.push(c);
+            } else {
+                out.right.push(c);
+            }
+        }
+        out
+    }
+
+    fn is_empty(&self) -> bool {
+        self.keys.is_empty() && self.right.is_empty() && self.residual.is_empty()
+    }
+
+    /// Every conjunct not yet placed in the join.
+    fn unplaced(self) -> impl Iterator<Item = &'q QExpr> {
+        self.residual
+            .into_iter()
+            .chain(self.keys.into_iter().map(|(c, _, _)| c))
+            .chain(self.right)
     }
 }
 

@@ -4,13 +4,17 @@
 //! 2-relation union under disjoint tables, a pointer-following factorized
 //! scan under M6, and the direct side-table scan for unnest on M1.
 
-use erbium_engine::{Plan, PlanKind};
+use erbium_engine::{JoinKind, Plan, PlanKind};
 use erbium_mapping::presets::paper;
-use erbium_mapping::{CoFormat, Lowering, QueryRewriter};
+use erbium_mapping::{CoFormat, Lowering, MappingError, QueryRewriter};
 use erbium_model::fixtures;
 use erbium_storage::Catalog;
 
 fn plan_for(mapping_name: &str, sql: &str) -> Plan {
+    try_plan_for(mapping_name, sql).unwrap()
+}
+
+fn try_plan_for(mapping_name: &str, sql: &str) -> Result<Plan, MappingError> {
     let schema = fixtures::experiment();
     let mapping = match mapping_name {
         "M1" => paper::m1(&schema),
@@ -26,7 +30,7 @@ fn plan_for(mapping_name: &str, sql: &str) -> Plan {
     lw.install(&mut cat).unwrap();
     let stmt = erbium_query::parse_single(sql).unwrap();
     let erbium_query::Statement::Select(sel) = stmt else { panic!("expected select") };
-    QueryRewriter::new(&lw, &cat).rewrite_optimized(&sel).unwrap()
+    QueryRewriter::new(&lw, &cat).rewrite_optimized(&sel)
 }
 
 fn count_nodes(plan: &Plan, pred: &dyn Fn(&PlanKind) -> bool) -> usize {
@@ -152,4 +156,58 @@ fn weak_join_is_plain_join_under_m1() {
     let plan = plan_for("M1", "SELECT s.s_id, w.s1_a FROM S s JOIN S1 w VIA s_s1");
     assert_eq!(count_nodes(&plan, &|k| matches!(k, PlanKind::Join { .. })), 1);
     assert_eq!(count_nodes(&plan, &|k| matches!(k, PlanKind::Unnest { .. })), 0);
+}
+
+const MAPPINGS: [&str; 6] = ["M1", "M2", "M3", "M4", "M5", "M6f"];
+
+/// An ON equality between a bound column and a joined one is a hash-join
+/// key: the plan never filters a keyless (cartesian) join.
+#[test]
+fn on_equalities_become_hash_join_keys() {
+    for (sql, kind) in [
+        ("SELECT r.r_id, s.s_id FROM R r JOIN S s ON r.r_b = s.s_b", JoinKind::Inner),
+        ("SELECT r.r_id, s.s_id FROM R r LEFT JOIN S s ON r.r_b = s.s_b", JoinKind::Left),
+        ("SELECT r.r_id, s.s_id FROM R r JOIN S s ON r.r_b = s.s_b AND r.r_id < 5", JoinKind::Inner),
+        ("SELECT r.r_id, s.s_id FROM R r LEFT JOIN S s ON s.s_b = r.r_b AND s.s_id < 5", JoinKind::Left),
+    ] {
+        for m in MAPPINGS {
+            let plan = plan_for(m, sql);
+            let text = plan.explain();
+            assert!(!text.contains("on [] = []"), "{m}: {sql}\n{text}");
+            let keyed = count_nodes(&plan, &|k| {
+                matches!(k, PlanKind::Join { kind: jk, left_keys, right_keys, .. }
+                    if *jk == kind && left_keys.len() == 1 && right_keys.len() == 1)
+            });
+            assert_eq!(keyed, 1, "{m}: {sql}\n{text}");
+        }
+    }
+}
+
+/// A LEFT join can place an ON conjunct only as a key or as a filter on
+/// the joined input; anything else is refused rather than run above the
+/// join, where it would drop the padded rows.
+#[test]
+fn left_join_refuses_on_conjuncts_it_cannot_place() {
+    for m in MAPPINGS {
+        let err = try_plan_for(m, "SELECT r.r_id FROM R r LEFT JOIN S s ON r.r_b = s.s_b AND r.r_id < 5")
+            .unwrap_err();
+        assert!(matches!(err, MappingError::Unsupported(_)), "{m}: {err}");
+    }
+}
+
+/// ON next to VIA: a conjunct on the joined weak entity filters its input
+/// below the LEFT join, also under M5, where the in-place unnest has no
+/// separate input and the rewrite joins the weak entity's extent instead.
+#[test]
+fn left_via_join_filters_the_joined_input_for_on() {
+    let sql = "SELECT s.s_id, w.s1_no FROM S s LEFT JOIN S1 w VIA s_s1 ON w.s1_a < 50";
+    for m in MAPPINGS {
+        let plan = plan_for(m, sql);
+        let text = plan.explain();
+        assert_eq!(
+            count_nodes(&plan, &|k| matches!(k, PlanKind::Join { kind: JoinKind::Left, .. })),
+            1,
+            "{m}\n{text}"
+        );
+    }
 }

@@ -272,6 +272,42 @@ fn e8_weak_join_r() {
 }
 
 #[test]
+fn left_join_on_keeps_unmatched_rows() {
+    // r_b = i % 7 meets s_b = sid % 4 in 3/3/2/2 S rows for r_b = 0..3;
+    // the 16 R rows with r_b >= 4 match nothing and are padded.
+    let rows =
+        assert_equivalent("SELECT r.r_id, s.s_id FROM R r LEFT JOIN S s ON r.r_b = s.s_b");
+    assert_eq!(rows.len(), 76);
+    assert_eq!(rows.iter().filter(|r| r[1].is_null()).count(), 16);
+    let rows = assert_equivalent(
+        "SELECT r.r_id, s.s_id FROM R r JOIN S s ON r.r_b = s.s_b AND r.r_id < 10",
+    );
+    assert_eq!(rows.len(), 18);
+}
+
+#[test]
+fn left_via_join_with_on_filters_the_joined_side() {
+    // S1 rows with s1_a < 50 belong to s_id 0..4 (9 of them); S rows 5..9
+    // keep one padded row each.
+    let rows = assert_equivalent(
+        "SELECT s.s_id, w.s1_no FROM S s LEFT JOIN S1 w VIA s_s1 ON w.s1_a < 50",
+    );
+    assert_eq!(rows.len(), 14);
+    assert_eq!(rows.iter().filter(|r| r[1].is_null()).count(), 5);
+}
+
+#[test]
+fn left_via_join_over_colocated_relationship_keeps_unmatched_rows() {
+    // 19 S1 rows; the 5 linked ones fan out to 20 pairs, the other 14 are
+    // padded. Under M6 the joined R2 binding's ancestor level (R) is joined
+    // after the LEFT join and must not drop the padded rows.
+    let rows =
+        assert_equivalent("SELECT w.s_id, w.s1_no, r.r_id, r.r_a FROM S1 w LEFT JOIN R2 r VIA r2_s1");
+    assert_eq!(rows.len(), 34);
+    assert_eq!(rows.iter().filter(|r| r[2].is_null()).count(), 14);
+}
+
+#[test]
 fn e9_colocated_join() {
     let rows = assert_equivalent(
         "SELECT r.r_id, r.r2_a, w.s1_a FROM R2 r JOIN S1 w VIA r2_s1 WHERE r.r_b >= 0",

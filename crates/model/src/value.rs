@@ -258,6 +258,15 @@ fn total_f64_cmp(a: f64, b: f64) -> Ordering {
     a.total_cmp(&b)
 }
 
+/// `x` as an i64 when the conversion is exact and reverses to the same
+/// bits: every float some `Int` compares equal to, and no other (`-0.0`,
+/// NaN, infinities and fractions all return `None`). `2^63` maps to
+/// `i64::MAX`, the value `i64::MAX as f64` saturates back to.
+fn exact_i64(x: f64) -> Option<i64> {
+    let i = x as i64;
+    ((i as f64).to_bits() == x.to_bits()).then_some(i)
+}
+
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
@@ -266,15 +275,21 @@ impl Hash for Value {
                 state.write_u8(1);
                 b.hash(state);
             }
-            // Ints and integral floats must hash identically because they
-            // compare equal across the Int/Float divide.
+            // Numerics compare equal across the Int/Float divide, so an
+            // integral value hashes as one canonical i64 whichever variant
+            // holds it (DESIGN.md §16). `Int(i)` goes through
+            // `i as f64` so that the ints that round to the same float near
+            // 2^53 (and saturate at 2^63) share the hash of that float.
             Value::Int(i) => {
                 state.write_u8(2);
-                (*i as f64).to_bits().hash(state);
+                state.write_i64((*i as f64) as i64);
             }
             Value::Float(x) => {
                 state.write_u8(2);
-                x.to_bits().hash(state);
+                match exact_i64(*x) {
+                    Some(i) => state.write_i64(i),
+                    None => state.write_u64(x.to_bits()),
+                }
             }
             Value::Str(s) => {
                 state.write_u8(3);
@@ -368,6 +383,7 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rustc_hash::FxHashSet;
     use std::collections::hash_map::DefaultHasher;
 
     fn hash_of(v: &Value) -> u64 {
@@ -444,5 +460,121 @@ mod tests {
         let small = Value::Array(vec![Value::Int(1)]);
         let big = Value::Array(vec![Value::Int(1); 100]);
         assert!(big.approx_size() > small.approx_size());
+    }
+
+    fn fx_hash_of(v: &Value) -> u64 {
+        let mut h = rustc_hash::FxHasher::default();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    /// hashbrown picks a bucket from the low bits of the hash, so keys that
+    /// agree in their low bits share one probe chain and every insert or
+    /// lookup walks it: a quadratic cliff in joins, GROUP BY and key checks.
+    /// 4,096 keys over 1,024 buckets fill ~98% of them when hashes are
+    /// uniform; demand 90% for every key shape the engine sees in bulk.
+    #[test]
+    fn hashes_spread_over_low_bits() {
+        const N: i64 = 4096;
+        type MakeKey = fn(i64) -> Value;
+        let kinds: [(&str, MakeKey); 6] = [
+            ("sequential ints", Value::Int),
+            ("stride-8 ints", |i| Value::Int(i * 8)),
+            ("negative ints", |i| Value::Int(-i - 1)),
+            ("int-valued floats", |i| Value::Float(i as f64)),
+            ("x.5 floats", |i| Value::Float(i as f64 + 0.5)),
+            ("short strings", |i| Value::str(format!("k{i}"))),
+        ];
+        for (kind, make) in &kinds {
+            let buckets: FxHashSet<u64> = (0..N).map(|i| fx_hash_of(&make(i)) & 1023).collect();
+            assert!(
+                buckets.len() * 10 >= 1024 * 9,
+                "{kind}: {} of 1024 low-bit buckets used",
+                buckets.len()
+            );
+        }
+    }
+
+    #[test]
+    fn equal_numerics_hash_equal_at_the_edges() {
+        let two53 = 1i64 << 53;
+        let pairs = [
+            (Value::Int(0), Value::Float(0.0)),
+            (Value::Int(two53), Value::Float(two53 as f64)),
+            // 2^53 + 1 rounds to 2^53 as a float, so the two compare equal.
+            (Value::Int(two53 + 1), Value::Float(two53 as f64)),
+            (Value::Int(-two53 - 1), Value::Float(-two53 as f64)),
+            (Value::Int(i64::MIN), Value::Float(i64::MIN as f64)),
+            (Value::Int(i64::MAX), Value::Float(i64::MAX as f64)),
+            (Value::Float(f64::NAN), Value::Float(f64::NAN)),
+            (Value::Float(-0.0), Value::Float(-0.0)),
+        ];
+        for (a, b) in &pairs {
+            assert_eq!(a, b);
+            assert_eq!(fx_hash_of(a), fx_hash_of(b), "{a:?} vs {b:?}");
+            assert_eq!(hash_of(a), hash_of(b), "{a:?} vs {b:?}");
+        }
+        // Total order keeps the signed zeros apart, so they may hash apart.
+        assert_ne!(Value::Float(0.0), Value::Float(-0.0));
+    }
+
+    /// Base integers where Int/Float equality is delicate: zero, the edge
+    /// of f64's exact-integer range (2^53) and i64's limits.
+    const EDGES: [i64; 10] = [
+        0,
+        1,
+        -1,
+        (1 << 53) - 1,
+        1 << 53,
+        (1 << 53) + 1,
+        -(1 << 53) - 1,
+        i64::MIN,
+        i64::MAX,
+        i64::MAX - 1,
+    ];
+    const SPECIAL_FLOATS: [f64; 5] = [-0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.5];
+
+    /// One numeric near `x`, in the representation `repr` picks.
+    fn numeric(x: i64, repr: usize) -> Value {
+        match repr {
+            0 => Value::Int(x),
+            1 => Value::Float(x as f64),
+            2 => Value::Float(x as f64 + 0.5),
+            _ => Value::Float(SPECIAL_FLOATS[x.unsigned_abs() as usize % SPECIAL_FLOATS.len()]),
+        }
+    }
+
+    /// Wrap `v` bare (0), as an array element (1) or as a struct field (2).
+    fn wrapped(v: Value, shape: usize) -> Value {
+        match shape {
+            0 => v,
+            1 => Value::Array(vec![Value::Int(7), v]),
+            _ => Value::Struct(vec![Value::str("k"), v]),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config {
+            cases: 2048,
+            ..proptest::test_runner::Config::default()
+        })]
+        #[test]
+        fn equal_values_hash_equal(
+            (pick, edge, any_int, delta) in
+                (0usize..3, 0usize..EDGES.len(), proptest::any::<i64>(), -1i64..2),
+            (repr_a, repr_b, shape) in (0usize..4, 0usize..4, 0usize..3),
+        ) {
+            let base = match pick {
+                0 => EDGES[edge],
+                1 => any_int,
+                _ => any_int % 100,
+            };
+            let a = wrapped(numeric(base, repr_a), shape);
+            let b = wrapped(numeric(base.saturating_add(delta), repr_b), shape);
+            if a == b {
+                proptest::prop_assert_eq!(fx_hash_of(&a), fx_hash_of(&b), "{:?} vs {:?}", a, b);
+                proptest::prop_assert_eq!(hash_of(&a), hash_of(&b), "{:?} vs {:?}", a, b);
+            }
+        }
     }
 }

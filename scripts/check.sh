@@ -38,6 +38,22 @@ cargo test -q --offline --test columnar_metrics
 # the named re-run keeps the regression visible at a glance.
 cargo test -q --offline -p erbium-core --test observability
 cargo test -q --offline -p erbium-obs
+# Hash-spread gates: `Value` keys of every bulk shape (sequential, stride-8
+# and negative ints, int-valued and x.5 floats, short strings) must fill
+# >= 90% of 1,024 low-bit buckets, equal values must hash equal across the
+# Int/Float divide (proptest), and the vendored FxHasher's finalizer must
+# spread keys that differ only in high bits. A collapse here is the
+# quadratic probe-chain cliff in every join, GROUP BY and key check
+# (DESIGN.md §16).
+cargo test -q --offline -p erbium-model --lib value::tests
+cargo test -q --offline -p rustc-hash
+# ON-join gates: ON equalities plan as hash-join keys (never a filter over
+# `on [] = []`) under every paper mapping, LEFT JOIN ... ON keeps unmatched
+# left rows and refuses conjuncts it cannot place below the join, and ON
+# joins return the same multiset under every mapping.
+cargo test -q --offline -p erbium-mapping --test plan_shapes
+cargo test -q --offline -p erbium-mapping --test query_equivalence
+cargo test -q --offline -p erbium-core --test on_join
 # Overhead sentinel: with tracing disabled (the default), the
 # instrumentation added along the hot path must stay within run-to-run
 # noise of the PR-4 baseline on the morsel_waves bench (~9.7 ms).
