@@ -16,9 +16,9 @@
 //! * **A-bufferpool** — row-page buffer pool unbounded vs. an 8-frame
 //!   budget: full row-store scan cost when every page must be spilled and
 //!   re-faulted each pass, and query cost over the same bounded catalog
-//!   (the columnar working set answers queries, so bounding row pages
-//!   should cost queries ~nothing). Pool hit/miss/eviction counters are
-//!   printed once at the end.
+//!   (queries read the same pages, through per-page column chunks, so
+//!   they fault evicted pages too). Pool hit/miss/eviction counters are
+//!   printed once after the scans and once after the queries.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
@@ -261,8 +261,8 @@ fn bench_bufferpool(c: &mut Criterion) {
     let scan_stats = bdb.catalog.pool().stats();
 
     // Query cost under the same bounded catalog: E1 (scan-shaped) and E5
-    // (3-way hierarchy join) run off the columnar working set, so the
-    // frame budget on row pages should be ~invisible here.
+    // (3-way hierarchy join) read the row pages through their column
+    // chunks, so each bounded pass re-faults the pages it touches.
     for (qid, sql) in [("E1", queries::E1), ("E5", queries::E5)] {
         g.bench_function(format!("M1_{qid}_unbounded"), |b| {
             b.iter(|| std::hint::black_box(db.run(sql)))

@@ -5,7 +5,8 @@
 //!
 //! 1. the pool actually worked for its living — pages were evicted, dirty
 //!    pages were written back to the spill file, and cold pages were
-//!    faulted back in (`misses > 0`);
+//!    faulted back in (`misses > 0`), by the query sweep itself and not
+//!    only by the row-fingerprint walk;
 //! 2. memory is bounded — after the end-of-workload reclaim the resident
 //!    frame count is back at (or under) the budget, and the process-wide
 //!    peak RSS stays under a fixed ceiling across the whole sweep;
@@ -59,12 +60,14 @@ fn peak_rss_kib() -> Option<u64> {
 
 /// Canonical answer digest: every experiment query's sorted result rows,
 /// plus a sorted row-store fingerprint of every plain and factorized
-/// table. The fingerprint part deliberately walks the *row* pages (the
-/// columnar working set answers most of the queries), so a bounded run
-/// must fault evicted pages back in to produce it.
-fn digest(db: &Database) -> String {
+/// table. Also returns the pool misses the query sweep alone caused
+/// (read before the fingerprint walk, which faults every page anyway):
+/// queries read row pages through the pool, so a bounded run must fault
+/// evicted pages back in to answer them.
+fn digest(db: &Database) -> (String, u64) {
     use std::fmt::Write as _;
     let mut out = String::new();
+    let misses_before = db.buffer_pool_stats().misses;
     let sweep = [
         queries::E1,
         queries::E2,
@@ -87,6 +90,7 @@ fn digest(db: &Database) -> String {
         rows.sort();
         writeln!(out, "Q {sql} -> {rows:?}").unwrap();
     }
+    let query_misses = db.buffer_pool_stats().misses - misses_before;
     let cat = db.catalog();
     let mut names = cat.table_names();
     names.sort();
@@ -104,7 +108,7 @@ fn digest(db: &Database) -> String {
         pairs.sort();
         writeln!(out, "F {name} {pairs:?}").unwrap();
     }
-    out
+    (out, query_misses)
 }
 
 /// Seed the experiment instance through the public bulk + CRUD surface:
@@ -189,7 +193,10 @@ fn run_mapping(name: &str) {
         fail(format!("[{name}] dataset spans {pages} pages — not larger than the {FRAME_BUDGET}-frame budget"));
     }
 
-    let bounded = digest(&db);
+    let (bounded, query_misses) = digest(&db);
+    if query_misses == 0 {
+        fail(format!("[{name}] query sweep never faulted a page through the pool"));
+    }
     db.checkpoint().unwrap_or_else(|e| fail(format!("[{name}] checkpoint: {e}")));
     let stats = db.buffer_pool_stats();
     if stats.evictions == 0 || stats.dirty_writebacks == 0 || stats.misses == 0 {
@@ -204,7 +211,7 @@ fn run_mapping(name: &str) {
     // unconstrained pool must land on the exact same answers and rows.
     let udb =
         Database::open(&dir).unwrap_or_else(|e| fail(format!("[{name}] open unbounded: {e}")));
-    if digest(&udb) != bounded {
+    if digest(&udb).0 != bounded {
         fail(format!("[{name}] bounded and unbounded runs disagree"));
     }
     drop(udb);
@@ -212,8 +219,12 @@ fn run_mapping(name: &str) {
     // And a bounded recovery of the same state agrees too.
     let bdb = Database::open_with(&dir, opts)
         .unwrap_or_else(|e| fail(format!("[{name}] bounded reopen: {e}")));
-    if digest(&bdb) != bounded {
+    let (recovered, query_misses) = digest(&bdb);
+    if recovered != bounded {
         fail(format!("[{name}] bounded recovery disagrees with the original run"));
+    }
+    if query_misses == 0 {
+        fail(format!("[{name}] query sweep after bounded recovery never faulted a page"));
     }
     drop(bdb);
     let _ = std::fs::remove_dir_all(&dir);

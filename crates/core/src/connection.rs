@@ -133,12 +133,11 @@ pub fn apply_session_option(ctx: &mut ExecContext, key: &str, value: &str) -> Db
         "threads" => ctx.threads = num(key, value)?.min(64),
         "batch_size" => ctx.batch_size = num(key, value)?,
         "morsel_size" => ctx.morsel_size = num(key, value)?,
-        "fusion" => ctx.fusion = flag(key, value)?,
         "columnar" => ctx.columnar = flag(key, value)?,
         _ => {
             return Err(DbError::Parse(format!(
                 "unknown session option '{key}' (supported: threads, batch_size, \
-                 morsel_size, fusion, columnar)"
+                 morsel_size, columnar)"
             )))
         }
     }

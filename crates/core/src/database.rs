@@ -665,7 +665,7 @@ impl Database {
     /// Bulk-load a batch of one entity's instances — the fast path behind
     /// `COPY ... FROM`. The whole batch commits as **one** transaction and
     /// one WAL commit group carrying a compact record per touched table;
-    /// column vectors are extended wholesale and secondary indexes updated
+    /// rows are appended at each table's tail and secondary indexes updated
     /// in a single pass per table. Tables already under `ANALYZE` coverage
     /// get their statistics recomputed once at the end of the batch (and
     /// the plan cache invalidated exactly once); tables never analyzed

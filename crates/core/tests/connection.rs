@@ -6,10 +6,16 @@
 
 use erbium_core::{Connection, Database, DbError, ReadSession, Rows};
 use erbium_storage::Value;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// Serializes tests that flip the process-wide tracer.
+/// The tracer is process-wide: while one test records spans, any query a
+/// sibling test runs would land in its recording. Every test here runs
+/// queries, so every test holds this lock for its whole body.
 static TRACER_LOCK: Mutex<()> = Mutex::new(());
+
+fn tracer_lock() -> MutexGuard<'static, ()> {
+    TRACER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const DDL: &str = "
     CREATE ENTITY person (id int KEY, name text, score int);
@@ -79,16 +85,19 @@ fn workload<C: Connection>(conn: &mut C) {
 
 #[test]
 fn workload_runs_against_database() {
+    let _tracer = tracer_lock();
     workload(&mut seeded());
 }
 
 #[test]
 fn workload_runs_against_shared_database() {
+    let _tracer = tracer_lock();
     workload(&mut seeded().into_shared());
 }
 
 #[test]
 fn prepared_template_caches_once() {
+    let _tracer = tracer_lock();
     let mut db = seeded();
     let before = db.cache_stats().unwrap();
 
@@ -107,6 +116,7 @@ fn prepared_template_caches_once() {
 
 #[test]
 fn query_params_reuses_template_plan() {
+    let _tracer = tracer_lock();
     let mut db = seeded();
     let before = db.cache_stats().unwrap();
     // Same effect without explicit prepare: the `?`-text is the cache key,
@@ -124,7 +134,7 @@ fn query_params_reuses_template_plan() {
 
 #[test]
 fn prepared_executes_never_reparse() {
-    let _g = TRACER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _tracer = tracer_lock();
     let mut db = seeded();
     let stmt = db.prepare("SELECT p.name FROM person p WHERE p.id = ?").unwrap();
 
@@ -151,6 +161,7 @@ fn prepared_executes_never_reparse() {
 
 #[test]
 fn param_arity_is_strict_both_directions() {
+    let _tracer = tracer_lock();
     let db = seeded();
     // Too few values for the template.
     let err = db
@@ -175,6 +186,7 @@ fn param_arity_is_strict_both_directions() {
 
 #[test]
 fn bound_params_match_literal_results() {
+    let _tracer = tracer_lock();
     let db = seeded();
     let lit = db.query("SELECT p.name, p.score FROM person p WHERE p.score > 400").unwrap();
     let bound = db
@@ -188,6 +200,7 @@ fn bound_params_match_literal_results() {
 
 #[test]
 fn set_option_is_session_scoped() {
+    let _tracer = tracer_lock();
     let shared = seeded().into_shared();
 
     // Two sessions over the same database: a clone of the handle.
@@ -220,6 +233,7 @@ fn set_option_is_session_scoped() {
 
 #[test]
 fn prepare_rejects_bad_sql_eagerly() {
+    let _tracer = tracer_lock();
     let mut db = seeded();
     let err = db.prepare("SELECT FROM WHERE").unwrap_err();
     assert!(matches!(err, DbError::Parse(_)), "got {err:?}");

@@ -56,13 +56,11 @@ pub struct ExecContext {
     /// are bit-identical to single-threaded execution (including float
     /// aggregates and `ARRAY_AGG` order).
     pub threads: usize,
-    /// Fuse Filter/Project chains into the scan's morsel workers instead of
-    /// running them as serial post-passes. On by default; disable to ablate.
-    pub fusion: bool,
-    /// Execute eligible leaf pipelines over the tables' typed column
-    /// vectors (selection-vector kernels + late row materialization)
-    /// instead of cloning row-shaped slots. On by default; disable to
-    /// ablate. Results are bit-identical either way — the columnar
+    /// Execute eligible leaf pipelines over each page's typed column
+    /// chunks (selection-vector kernels + late row materialization)
+    /// instead of cloning row-shaped slots. On by default; `false` runs
+    /// the row path, the reference the columnar kernels are checked
+    /// against. Results are bit-identical either way — the columnar
     /// kernels replicate `Value` comparison semantics exactly and
     /// non-vectorizable predicates fall back to row evaluation in the
     /// original order.
@@ -84,7 +82,6 @@ impl Default for ExecContext {
             batch_size: 1024,
             morsel_size: 4096,
             threads: default_threads(),
-            fusion: true,
             columnar: true,
             cancel: Arc::new(AtomicBool::new(false)),
         }
@@ -108,12 +105,6 @@ impl ExecContext {
 
     pub fn with_threads(mut self, n: usize) -> ExecContext {
         self.threads = n.max(1);
-        self
-    }
-
-    /// Enable or disable pipeline fusion (on by default).
-    pub fn with_fusion(mut self, on: bool) -> ExecContext {
-        self.fusion = on;
         self
     }
 
@@ -547,10 +538,59 @@ mod tests {
         // At least the submitting thread participates in every wave; on a
         // multi-core machine pool workers join it (peak is recorded).
         assert!(scan.workers >= 1, "expected participant count\n{}", m.render());
-        // With fusion disabled the same plan yields identical rows.
-        let plain =
-            execute_streaming(&p, &c, &ctx.clone().with_fusion(false)).unwrap().drain().unwrap();
-        assert_eq!(plain, rows);
+    }
+
+    #[test]
+    fn page_view_write_is_seen_by_columnar_query() {
+        let mut c = Catalog::new();
+        let mut t = Table::new(TableSchema::new(
+            "t",
+            vec![
+                Column::not_null("id", DataType::Int),
+                Column::new("tag", DataType::Text),
+                Column::new("score", DataType::Float),
+            ],
+            vec![0],
+        ));
+        for i in 0..3000i64 {
+            t.insert(vec![Value::Int(i), Value::str(format!("g{}", i % 5)), Value::Float(i as f64)])
+                .unwrap();
+        }
+        assert!(t.page_count() > 2, "fixture spans several pages");
+        c.create_table(t).unwrap();
+        let lt = |col, v: Value| Expr::binary(crate::expr::BinOp::Lt, Expr::col(col), Expr::Lit(v));
+        let eq = |col, v: Value| Expr::binary(crate::expr::BinOp::Eq, Expr::col(col), Expr::Lit(v));
+        let plans = [
+            Plan::scan(&c, "t").unwrap().filter(eq(1, Value::str("new"))),
+            Plan::scan(&c, "t").unwrap().filter(lt(2, Value::Float(0.5))).project_columns(&[0, 1]),
+            Plan::scan(&c, "t").unwrap().aggregate(
+                vec![(Expr::col(1), "tag".into())],
+                vec![(AggCall::new(AggFunc::Sum, Expr::col(2)), "s".into())],
+            ),
+            Plan::scan(&c, "t").unwrap().filter(eq(0, Value::Int(1500))).join(
+                Plan::scan(&c, "t").unwrap(),
+                JoinKind::Inner,
+                vec![Expr::col(1)],
+                vec![Expr::col(1)],
+            ),
+        ];
+        let columnar = ExecContext::new().with_threads(2).with_morsel_size(700);
+        let rows = ExecContext::new().with_threads(1).with_columnar(false);
+        let run = |c: &Catalog, ctx: &ExecContext| -> Vec<Vec<Row>> {
+            plans.iter().map(|p| execute_streaming(p, c, ctx).unwrap().drain().unwrap()).collect()
+        };
+        let before = run(&c, &columnar); // builds every page view
+        assert_eq!(before, run(&c, &rows));
+        // Rewrite a row in the middle page, delete one, recycle its slot.
+        let t = c.table_mut("t").unwrap();
+        t.update(erbium_storage::RowId(1500), vec![Value::Int(1500), Value::str("new"), Value::Float(-0.0)])
+            .unwrap();
+        t.delete(erbium_storage::RowId(10)).unwrap();
+        t.insert(vec![Value::Int(9000), Value::str("new"), Value::Float(0.25)]).unwrap();
+        let after = run(&c, &columnar);
+        assert_ne!(after, before, "columnar queries see the writes");
+        assert_eq!(after[0].len(), 2, "both rewritten rows match the new tag");
+        assert_eq!(after, run(&c, &rows), "columnar equals the row path after the write");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   morsel order;
 //! * **fused pipelines** — `Filter`/`Project` chains sitting directly
 //!   above a leaf execute *inside* the scan's morsel jobs instead of as
-//!   serial post-passes (disable with `ExecContext::with_fusion(false)`);
+//!   serial post-passes;
 //! * **hash joins** — the build side is hashed in parallel over contiguous
 //!   chunks merged in chunk order, and the probe side is morsel-partitioned
 //!   against the shared read-only build table, outputs concatenated in
@@ -32,17 +32,18 @@
 //! ## Columnar (vectorized) execution
 //!
 //! With [`crate::exec::ExecContext::columnar`] (on by default), leaf table
-//! scans run over the table's typed column vectors instead of cloning
-//! row-shaped slots: each morsel builds a *selection vector* of live slot
-//! ids, applies the vectorizable prefix of the pushed-down filters (and of
-//! the fused Filter/Project chain) as tight per-column kernels compiled by
-//! [`crate::vplan`], row-evaluates any residual predicates against
-//! borrowed rows in the original order, and only then materializes the
+//! scans run over each page's typed column chunks instead of cloning
+//! row-shaped slots: each morsel pins its pages one at a time and, per
+//! page, builds a *selection vector* of live page-local offsets, applies
+//! the vectorizable prefix of the pushed-down filters (and of the fused
+//! Filter/Project chain) as tight per-column kernels compiled by
+//! [`crate::vplan`], row-evaluates any residual predicates against the
+//! page's rows in the original order, and only then materializes the
 //! surviving rows — restricted to the scan's pruned projection — via a
 //! column-at-a-time gather ([`crate::vector`]). Single-key hash-join
 //! builds and single-key aggregates over a bare scan skip row streams
-//! entirely and run the same selection + gather pass against the column
-//! vectors. Everything else falls back to the row-batch operators; the
+//! entirely and run the same page-by-page selection + gather pass.
+//! Everything else falls back to the row-batch operators; the
 //! split is observable via the `engine_columnar_batches_total` /
 //! `engine_fallback_row_batches_total` counters and the `[columnar]`
 //! marker on metric nodes. Columnar execution is bit-identical to the row
@@ -74,7 +75,7 @@ use crate::plan::{FactorizedSide, JoinKind, Plan, PlanKind, SortKey};
 use crate::pool::WorkerPool;
 use crate::vector;
 use crate::vplan::{self, VecPred};
-use erbium_storage::{Catalog, ColumnSlice, FactorizedTable, Row, RowId, Table, Value};
+use erbium_storage::{Catalog, FactorizedTable, PagePin, Row, RowId, Table, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -250,8 +251,8 @@ pub(crate) fn compile<'a>(
             }
             let (l, lm) = compile(left, cat, ctx)?;
             // Single-key columnar build fast path: when the build side is a
-            // bare scan keyed by one column with a typed vector, hash it
-            // straight off the column vectors instead of compiling and
+            // bare scan keyed by one column with a typed slice, hash it
+            // straight off the pages' column chunks instead of compiling and
             // draining a row stream.
             let columnar_build =
                 if ctx.columnar { columnar_build_source(right, right_keys, cat) } else { None };
@@ -411,9 +412,6 @@ fn compile_fused<'a>(
     cat: &'a Catalog,
     ctx: &ExecContext,
 ) -> EngineResult<Option<(BoxedRowStream<'a>, Arc<OpMetrics>)>> {
-    if !ctx.fusion {
-        return Ok(None);
-    }
     // Collect the Filter/Project chain (top-down) above the leaf.
     let mut chain: Vec<&'a Plan> = Vec::new();
     let mut base = plan;
@@ -714,11 +712,11 @@ struct VStep {
 }
 
 /// Row-evaluate residual (non-vectorizable) predicates over the selected
-/// slots, compacting `sel` in place in selection order — the same
-/// left-to-right, row-at-a-time order the row path uses, so error
-/// behaviour is identical.
+/// offsets of a page's `rows`, compacting `sel` in place in selection
+/// order — the same left-to-right, row-at-a-time order the row path uses,
+/// so error behaviour is identical.
 fn apply_residual(
-    t: &Table,
+    rows: &[Option<Row>],
     residual: &[Expr],
     sel: &mut Vec<usize>,
 ) -> EngineResult<()> {
@@ -728,7 +726,7 @@ fn apply_residual(
     let mut kept = 0;
     'slots: for i in 0..sel.len() {
         let s = sel[i];
-        let row = t.get(RowId(s as u64)).expect("selected slot is live");
+        let row = rows[s].as_ref().expect("selected slot is live");
         for f in residual {
             if !f.eval_predicate(row)? {
                 continue 'slots;
@@ -741,12 +739,31 @@ fn apply_residual(
     Ok(())
 }
 
-/// Columnar morsel scan: build a selection vector of live slots, narrow it
-/// with compiled vector predicates (scan filters first, then the
-/// vectorizable prefix of the fused chain), row-evaluate residuals, and
-/// late-materialize survivors column-at-a-time through the pruned
-/// projection. Bit-identical to the row path: selection order is slot
-/// order, predicates replicate `Value` semantics, and any fused suffix
+/// Select the live offsets of `page`'s pinned range that pass the compiled
+/// predicates and then the residual row predicates, into `sel` (page-local,
+/// slot order). Returns how many live slots were examined.
+fn select_page(
+    page: &PagePin,
+    preds: &[VecPred],
+    residual: &[Expr],
+    sel: &mut Vec<usize>,
+) -> EngineResult<usize> {
+    sel.clear();
+    vector::live_selection(page.live(), page.range(), sel);
+    let examined = sel.len();
+    for p in preds {
+        vector::apply_pred(p, page, sel);
+    }
+    apply_residual(page.rows(), residual, sel)?;
+    Ok(examined)
+}
+
+/// Columnar morsel scan: page by page, build a selection vector of live
+/// slots, narrow it with compiled vector predicates (scan filters first,
+/// then the vectorizable prefix of the fused chain), row-evaluate
+/// residuals, and late-materialize survivors column-at-a-time through the
+/// pruned projection. Bit-identical to the row path: selection order is
+/// slot order, predicates replicate `Value` semantics, and any fused suffix
 /// that could not vectorize runs via [`apply_fused`] on the gathered rows
 /// exactly as it would on cloned rows.
 fn columnar_scan_stream<'a>(
@@ -763,7 +780,7 @@ fn columnar_scan_stream<'a>(
     let fused = !steps.is_empty();
     // Scan filters live in the table's own column space.
     let identity: Vec<usize> = (0..t.schema().arity()).collect();
-    let (preds, residual) = vplan::split_filters(filters, t, &identity);
+    let (preds, residual) = vplan::split_filters(filters, t.schema(), &identity);
     // `mapping[out_col]` = table column feeding output column `out_col`.
     let mut mapping: Vec<usize> = match projection {
         Some(p) => p.to_vec(),
@@ -776,7 +793,9 @@ fn columnar_scan_stream<'a>(
     let mut it = steps.into_iter();
     for step in it.by_ref() {
         let compiled = match &step.op {
-            FusedOp::Filter(pred) => vplan::compile_pred(pred, t, &mapping).map(VOp::Filter),
+            FusedOp::Filter(pred) => {
+                vplan::compile_pred(pred, t.schema(), &mapping).map(VOp::Filter)
+            }
             FusedOp::Project(exprs) => vplan::compose_projection(exprs, &mapping).map(|m| {
                 mapping = m;
                 VOp::Remap
@@ -798,27 +817,32 @@ fn columnar_scan_stream<'a>(
     tail.extend(it);
     let work = move |range: Range<usize>, out: &mut Vec<Row>| -> EngineResult<()> {
         let mut sel: Vec<usize> = Vec::new();
-        vector::live_selection(t.live_slots(), range, &mut sel);
-        scan_m.add_rows_in(sel.len() as u64);
-        for p in &preds {
-            vector::apply_pred(p, t, &mut sel);
+        let (mut examined, mut selected) = (0, 0);
+        // Rows surviving each fused step, summed over the morsel's pages.
+        let mut step_rows = vec![0u64; vsteps.len()];
+        for page in t.pin_pages(range) {
+            examined += select_page(&page, &preds, residual, &mut sel)?;
+            selected += sel.len();
+            for (v, n) in vsteps.iter().zip(&mut step_rows) {
+                if let VOp::Filter(p) = &v.op {
+                    vector::apply_pred(p, &page, &mut sel);
+                }
+                *n += sel.len() as u64;
+            }
+            vector::gather_rows(&page, &mapping, &sel, out);
         }
-        apply_residual(t, residual, &mut sel)?;
+        scan_m.add_rows_in(examined as u64);
         if fused {
             // Fused pipeline: record the scan's own emission here (the
             // enclosing meter only sees the chain's top operator).
-            scan_m.record_batch(sel.len() as u64);
+            scan_m.record_batch(selected as u64);
         }
-        for v in &vsteps {
-            if let VOp::Filter(p) = &v.op {
-                vector::apply_pred(p, t, &mut sel);
-            }
+        for (v, n) in vsteps.iter().zip(step_rows) {
             if let Some(m) = &v.metrics {
-                m.record_batch(sel.len() as u64);
+                m.record_batch(n);
             }
         }
-        vector::gather_rows(t, &mapping, &sel, out);
-        m_columnar_cells().add((sel.len() * mapping.len()) as u64);
+        m_columnar_cells().add((out.len() * mapping.len()) as u64);
         m_columnar_batches().inc();
         if !tail.is_empty() {
             apply_fused(&tail, out)?;
@@ -1147,7 +1171,7 @@ enum BuildSource<'a> {
     /// Compiled row stream, drained and hashed row by row.
     Stream(BoxedRowStream<'a>),
     /// Single-key columnar fast path: a bare scan hashed straight off the
-    /// table's column vectors — the build rows are selected and gathered
+    /// pages' column chunks — the build rows are selected and gathered
     /// without ever compiling a row stream. `mapping` is the scan's
     /// (possibly pruned) projection; `key_col` is the *table* column the
     /// single join key resolves to.
@@ -1178,8 +1202,8 @@ struct JoinStream<'a> {
 }
 
 /// Probe the build-side plan for columnar-build eligibility: a bare
-/// `Scan` whose single join key is a column reference with a typed
-/// column vector. Returns the build source plus a `Scan` metrics node
+/// `Scan` whose single join key is a column reference of a type with a
+/// typed column slice. Returns the build source plus a `Scan` metrics node
 /// standing in for the uncompiled right child.
 fn columnar_build_source<'a>(
     right: &'a Plan,
@@ -1194,7 +1218,7 @@ fn columnar_build_source<'a>(
         None => (0..right.fields.len()).collect(),
     };
     let key_col = *mapping.get(*k)?;
-    t.column_slice(key_col)?;
+    vplan::typed_rank(t.schema(), key_col)?;
     let m = OpMetrics::new(format!("Scan {table}"), vec![]);
     m.mark_columnar();
     Some((BuildSource::Columnar { t, filters, mapping, key_col, metrics: Arc::clone(&m) }, m))
@@ -1297,28 +1321,27 @@ impl JoinStream<'_> {
                 self.build = Some(JoinBuild { rows, table });
             }
             BuildSource::Columnar { t, filters, mapping, key_col, metrics } => {
-                // Select build rows in slot order — exactly the order the
-                // row path would have drained them — then hash the key
-                // column without materializing it into the rows twice.
+                // Select build rows page by page in slot order — exactly
+                // the order the row path would have drained them — and
+                // hash the key column without materializing it twice.
                 let identity: Vec<usize> = (0..t.schema().arity()).collect();
-                let (preds, residual) = vplan::split_filters(filters, t, &identity);
+                let (preds, residual) = vplan::split_filters(filters, t.schema(), &identity);
                 let mut sel: Vec<usize> = Vec::new();
-                vector::live_selection(t.live_slots(), 0..t.slot_count(), &mut sel);
-                metrics.add_rows_in(sel.len() as u64);
-                for p in &preds {
-                    vector::apply_pred(p, t, &mut sel);
-                }
-                apply_residual(t, residual, &mut sel)?;
-                let mut rows: Vec<Row> = Vec::with_capacity(sel.len());
-                vector::gather_rows(t, &mapping, &sel, &mut rows);
+                let mut examined = 0;
+                let mut rows: Vec<Row> = Vec::new();
                 let mut table: FxHashMap<Value, Vec<usize>> = FxHashMap::default();
-                for (i, &s) in sel.iter().enumerate() {
-                    // NULL keys never join: key_at returns None for them,
-                    // matching the row path's skip.
-                    if let Some(v) = vector::key_at(t, key_col, s) {
-                        table.entry(v).or_default().push(i);
+                for page in t.pin_pages(0..t.slot_count()) {
+                    examined += select_page(&page, &preds, residual, &mut sel)?;
+                    for (k, &s) in sel.iter().enumerate() {
+                        // NULL keys never join: key_at returns None for
+                        // them, matching the row path's skip.
+                        if let Some(v) = vector::key_at(&page, key_col, s) {
+                            table.entry(v).or_default().push(rows.len() + k);
+                        }
                     }
+                    vector::gather_rows(&page, &mapping, &sel, &mut rows);
                 }
+                metrics.add_rows_in(examined as u64);
                 metrics.record_batch(rows.len() as u64);
                 m_columnar_cells().add((rows.len() * mapping.len()) as u64);
                 m_columnar_batches().inc();
@@ -1641,14 +1664,56 @@ impl GroupedAcc {
     }
 }
 
+/// How many buffered rows to fold now: whole [`AGG_CHUNK`]s once a wave's
+/// worth (`threads` chunks) is pending, or everything at end of input.
+/// Folding only whole chunks before the end keeps chunk boundaries a pure
+/// function of the global input row index.
+fn agg_ready(pending: usize, threads: usize, done: bool) -> usize {
+    if done {
+        return pending;
+    }
+    let full = pending / AGG_CHUNK;
+    if full < threads { 0 } else { full * AGG_CHUNK }
+}
+
+/// Aggregate rows `0..n` of a buffer in [`AGG_CHUNK`]-sized chunks —
+/// `build(range)` folds one chunk into a partial — and absorb the partials
+/// into `global` in chunk order. With `threads > 1` the chunks run as one
+/// wave on the pool; the result is the same bit for bit either way.
+fn fold_chunks(
+    global: &mut GroupedAcc,
+    n: usize,
+    threads: usize,
+    metrics: &OpMetrics,
+    build: impl Fn(Range<usize>) -> EngineResult<GroupedAcc> + Sync,
+) -> EngineResult<()> {
+    let chunks: Vec<Range<usize>> =
+        (0..n).step_by(AGG_CHUNK).map(|lo| lo..(lo + AGG_CHUNK).min(n)).collect();
+    if threads > 1 && chunks.len() > 1 {
+        let build = &build;
+        let tasks: Vec<_> = chunks.into_iter().map(|c| move || build(c)).collect();
+        let (results, workers) = WorkerPool::global().run_scoped(tasks);
+        metrics.record_wave(workers as u64);
+        for r in results {
+            global.absorb(
+                r.map_err(|m| EngineError::Eval(format!("aggregate worker panicked: {m}")))??,
+            )?;
+        }
+    } else {
+        for c in chunks {
+            global.absorb(build(c)?)?;
+        }
+    }
+    Ok(())
+}
+
 impl AggregateStream<'_> {
     /// Consume the input batch-by-batch, folding fixed-size row chunks
     /// into partial hash tables that merge into the global state in chunk
-    /// order. With `threads > 1`, waves of complete chunks aggregate in
-    /// parallel on the pool; the chunk boundaries and merge order — and
-    /// therefore the result, bit for bit — are the same either way.
+    /// order (see [`fold_chunks`]).
     fn run(&mut self) -> EngineResult<VecDeque<Vec<Row>>> {
-        let mut global = GroupedAcc::new(self.group, self.aggs);
+        let (group, aggs) = (self.group, self.aggs);
+        let mut global = GroupedAcc::new(group, aggs);
         let mut pending: Vec<Row> = Vec::new();
         loop {
             let batch = self.input.next_batch()?;
@@ -1656,18 +1721,17 @@ impl AggregateStream<'_> {
             if let Some(b) = batch {
                 pending.extend(b);
             }
-            // Fold once `threads` complete chunks are buffered (one wave's
-            // worth), or everything that remains at end of input.
-            let ready = if done {
-                pending.len()
-            } else {
-                let full = pending.len() / AGG_CHUNK;
-                if full < self.threads { 0 } else { full * AGG_CHUNK }
-            };
+            let ready = agg_ready(pending.len(), self.threads, done);
             if ready > 0 {
                 let rest = pending.split_off(ready);
-                let take = std::mem::replace(&mut pending, rest);
-                self.fold_chunks(&mut global, &take)?;
+                let rows = std::mem::replace(&mut pending, rest);
+                fold_chunks(&mut global, ready, self.threads, &self.metrics, |r| {
+                    let mut partial = GroupedAcc::new(group, aggs);
+                    for row in &rows[r] {
+                        partial.update(group, aggs, row)?;
+                    }
+                    Ok(partial)
+                })?;
             }
             if done {
                 break;
@@ -1677,52 +1741,6 @@ impl AggregateStream<'_> {
         let mut out = VecDeque::new();
         push_chunked(&mut out, rows, self.batch);
         Ok(out)
-    }
-
-    /// Aggregate `rows` in [`AGG_CHUNK`]-sized chunks and absorb the
-    /// partials into `global` in chunk order.
-    fn fold_chunks(&self, global: &mut GroupedAcc, rows: &[Row]) -> EngineResult<()> {
-        if rows.is_empty() {
-            return Ok(());
-        }
-        let (group, aggs) = (self.group, self.aggs);
-        let build = |chunk: &[Row]| -> EngineResult<GroupedAcc> {
-            let mut partial = GroupedAcc::new(group, aggs);
-            for row in chunk {
-                partial.update(group, aggs, row)?;
-            }
-            Ok(partial)
-        };
-        let chunks: Vec<&[Row]> = rows.chunks(AGG_CHUNK).collect();
-        let partials: Vec<GroupedAcc> = if self.threads > 1 && chunks.len() > 1 {
-            let build = &build;
-            let tasks: Vec<_> = chunks
-                .iter()
-                .map(|c| {
-                    let c: &[Row] = c;
-                    move || build(c)
-                })
-                .collect();
-            let (results, workers) = WorkerPool::global().run_scoped(tasks);
-            self.metrics.record_wave(workers as u64);
-            let mut parts = Vec::with_capacity(results.len());
-            for r in results {
-                parts.push(r.map_err(|m| {
-                    EngineError::Eval(format!("aggregate worker panicked: {m}"))
-                })??);
-            }
-            parts
-        } else {
-            let mut parts = Vec::with_capacity(chunks.len());
-            for c in chunks {
-                parts.push(build(c)?);
-            }
-            parts
-        };
-        for p in partials {
-            global.absorb(p)?;
-        }
-        Ok(())
     }
 }
 
@@ -1740,7 +1758,7 @@ impl RowStream for AggregateStream<'_> {
 /// on a `Scan` (at most one group key — the single-key fast path; larger
 /// group lists fall back to the row operator) and columnar execution is
 /// on, skip the row stream entirely. The scan's selection + filters run
-/// once over the column vectors, and the aggregate folds
+/// page by page over the column chunks, and the aggregate folds
 /// [`AGG_CHUNK`]-sized chunks of the selection, reading only the columns
 /// the group/agg expressions actually touch — unreferenced columns are
 /// never materialized at all. Chunk boundaries are the same pure function
@@ -1801,15 +1819,7 @@ impl ColumnarAggStream<'_> {
     fn run(&self) -> EngineResult<VecDeque<Vec<Row>>> {
         let t = self.t;
         let identity: Vec<usize> = (0..t.schema().arity()).collect();
-        let (preds, residual) = vplan::split_filters(self.filters, t, &identity);
-        let mut sel: Vec<usize> = Vec::new();
-        vector::live_selection(t.live_slots(), 0..t.slot_count(), &mut sel);
-        self.scan_m.add_rows_in(sel.len() as u64);
-        for p in &preds {
-            vector::apply_pred(p, t, &mut sel);
-        }
-        apply_residual(t, residual, &mut sel)?;
-        self.scan_m.record_batch(sel.len() as u64);
+        let (preds, residual) = vplan::split_filters(self.filters, t.schema(), &identity);
         // Columns the group/agg expressions actually read, in the scan's
         // output space — everything else is never materialized.
         let mut needed: Vec<usize> = self
@@ -1820,57 +1830,55 @@ impl ColumnarAggStream<'_> {
             .collect();
         needed.sort_unstable();
         needed.dedup();
-        let readers: Vec<(usize, Option<ColumnSlice<'_>>, usize)> = needed
-            .iter()
-            .map(|&oc| (oc, t.column_slice(self.mapping[oc]), self.mapping[oc]))
-            .collect();
+        let cols: Vec<usize> = needed.iter().map(|&oc| self.mapping[oc]).collect();
         let (group, aggs) = (self.group, self.aggs);
         let arity = self.mapping.len();
-        let build = |chunk: &[usize]| -> EngineResult<GroupedAcc> {
-            let mut partial = GroupedAcc::new(group, aggs);
-            // One reusable scratch row per chunk; only the referenced
-            // cells are ever written (the accumulators read owned copies,
-            // so carrying stale cells between rows is impossible for the
-            // referenced set, and unreferenced cells are never read).
-            let mut scratch: Row = vec![Value::Null; arity];
-            for &s in chunk {
-                for (oc, slice, tc) in &readers {
-                    scratch[*oc] = match slice {
-                        Some(sl) => sl.value_at(s),
-                        None => t.get(RowId(s as u64)).expect("selected slot is live")[*tc].clone(),
-                    };
-                }
-                partial.update(group, aggs, &scratch)?;
-            }
-            Ok(partial)
-        };
         let mut global = GroupedAcc::new(group, aggs);
-        let chunks: Vec<&[usize]> = sel.chunks(AGG_CHUNK).collect();
-        if self.threads > 1 && chunks.len() > 1 {
-            let build = &build;
-            let tasks: Vec<_> = chunks
-                .iter()
-                .map(|c| {
-                    let c: &[usize] = c;
-                    move || build(c)
-                })
-                .collect();
-            let (results, workers) = WorkerPool::global().run_scoped(tasks);
-            self.metrics.record_wave(workers as u64);
-            for r in results {
-                let part = r
-                    .map_err(|m| EngineError::Eval(format!("aggregate worker panicked: {m}")))??;
-                global.absorb(part)?;
+        // Selected cells not yet folded, one vector per needed column.
+        let mut cells: Vec<Vec<Value>> = vec![Vec::new(); needed.len()];
+        let mut pending = 0;
+        let (mut examined, mut selected) = (0, 0);
+        let mut sel: Vec<usize> = Vec::new();
+        let mut pages = t.pin_pages(0..t.slot_count());
+        loop {
+            if self.cancel.load(Ordering::Relaxed) {
+                return Err(EngineError::Cancelled);
             }
-        } else {
-            for c in chunks {
-                if self.cancel.load(Ordering::Relaxed) {
-                    return Err(EngineError::Cancelled);
+            let page = pages.next();
+            if let Some(page) = &page {
+                examined += select_page(page, &preds, residual, &mut sel)?;
+                vector::gather_columns(page, &cols, &sel, &mut cells);
+                pending += sel.len();
+            }
+            let done = page.is_none();
+            let ready = agg_ready(pending, self.threads, done);
+            if ready > 0 {
+                fold_chunks(&mut global, ready, self.threads, &self.metrics, |r| {
+                    let mut partial = GroupedAcc::new(group, aggs);
+                    // One reusable scratch row per chunk; only the
+                    // referenced cells are ever written or read.
+                    let mut scratch: Row = vec![Value::Null; arity];
+                    for i in r {
+                        for (col, &oc) in cells.iter().zip(&needed) {
+                            scratch[oc] = col[i].clone();
+                        }
+                        partial.update(group, aggs, &scratch)?;
+                    }
+                    Ok(partial)
+                })?;
+                for col in &mut cells {
+                    col.drain(..ready);
                 }
-                global.absorb(build(c)?)?;
+                selected += ready;
+                pending -= ready;
+            }
+            if done {
+                break;
             }
         }
-        m_columnar_cells().add((sel.len() * needed.len()) as u64);
+        self.scan_m.add_rows_in(examined as u64);
+        self.scan_m.record_batch(selected as u64);
+        m_columnar_cells().add((selected * needed.len()) as u64);
         m_columnar_batches().inc();
         let rows = global.finish();
         let mut out = VecDeque::new();

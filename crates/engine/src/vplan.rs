@@ -1,6 +1,8 @@
 //! Per-query analysis for vectorized execution: compiles row-shaped
 //! predicates into the closed set of vector-predicate forms that
-//! [`crate::vector`]'s kernels execute over column slices.
+//! [`crate::vector`]'s kernels execute over each page's column slices.
+//! Compilation depends only on the table's column types, never on data,
+//! so one compiled form serves every page.
 //!
 //! This module is the *only* place on the columnar path that decomposes
 //! [`Expr`] and [`Value`] — the kernels in `vector.rs` operate purely on
@@ -14,8 +16,9 @@
 //! false.
 
 use crate::expr::{BinOp, Expr};
-use erbium_storage::{ColumnSlice, Table, Value};
+use erbium_storage::{DataType, TableSchema, Value};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Which [`Ordering`] outcomes of a comparison a predicate accepts
 /// (`Lt` = {Less}, `Ne` = {Less, Greater}, …).
@@ -69,10 +72,9 @@ pub(crate) enum VecPred {
     FloatCmp { col: usize, set: CmpSet, lit: f64 },
     /// Bool column vs Bool literal (false < true).
     BoolCmp { col: usize, set: CmpSet, lit: bool },
-    /// Dictionary-encoded text column: `keep[code]` precomputed once per
-    /// query by comparing every dictionary string against the literal, so
-    /// the per-row kernel is a single table lookup.
-    DictCmp { col: usize, keep: Vec<bool> },
+    /// Text column vs Str literal: string order. The kernel compares each
+    /// entry of a page's dictionary once, then filters by code.
+    StrCmp { col: usize, set: CmpSet, lit: Arc<str> },
     /// Cross-rank comparison (e.g. Int column vs Str literal): `Value`'s
     /// total order gives every non-NULL value of the column the same
     /// ordering against the literal, so the outcome is a constant
@@ -100,32 +102,34 @@ fn lit_rank(v: &Value) -> u8 {
     }
 }
 
-/// Rank of the (type-pure, non-null) values held by a typed column.
-fn slice_rank(s: &ColumnSlice<'_>) -> u8 {
-    match s {
-        ColumnSlice::Bool { .. } => 1,
-        ColumnSlice::Int { .. } | ColumnSlice::Float { .. } => 2,
-        ColumnSlice::Str { .. } => 3,
+/// Rank of the (type-pure, non-null) values of a column that has a typed
+/// slice; `None` for array/struct columns, which stay row-evaluated.
+pub(crate) fn typed_rank(schema: &TableSchema, col: usize) -> Option<u8> {
+    match schema.columns.get(col)?.dtype {
+        DataType::Bool => Some(1),
+        DataType::Int | DataType::Float => Some(2),
+        DataType::Text => Some(3),
+        DataType::Array(_) | DataType::Struct(_) => None,
     }
 }
 
-/// Try to compile one predicate into a vector form over `t`'s columns.
+/// Try to compile one predicate into a vector form over `schema`'s columns.
 ///
 /// `mapping` translates the predicate's column space into table columns
 /// (identity for scan filters; the current projection for fused steps).
 /// Returns `None` when the shape isn't vectorizable — the caller keeps it
 /// as a row-evaluated residual, preserving evaluation order and error
 /// behavior exactly.
-pub(crate) fn compile_pred(e: &Expr, t: &Table, mapping: &[usize]) -> Option<VecPred> {
+pub(crate) fn compile_pred(e: &Expr, schema: &TableSchema, mapping: &[usize]) -> Option<VecPred> {
     match e {
         Expr::IsNull(inner) => {
             let col = mapped_col(inner, mapping)?;
-            t.column_slice(col)?;
+            typed_rank(schema, col)?;
             Some(VecPred::IsNull { col })
         }
         Expr::IsNotNull(inner) => {
             let col = mapped_col(inner, mapping)?;
-            t.column_slice(col)?;
+            typed_rank(schema, col)?;
             Some(VecPred::IsNotNull { col })
         }
         Expr::Binary { op, left, right } if op.is_comparison() => {
@@ -137,31 +141,15 @@ pub(crate) fn compile_pred(e: &Expr, t: &Table, mapping: &[usize]) -> Option<Vec
             if lit.is_null() {
                 return Some(VecPred::Nothing);
             }
-            let slice = t.column_slice(col)?;
-            Some(match (&slice, lit) {
-                (ColumnSlice::Int { .. }, Value::Int(x)) => VecPred::IntCmp { col, set, lit: *x },
-                (ColumnSlice::Int { .. }, Value::Float(x)) => {
-                    VecPred::IntAsFloatCmp { col, set, lit: *x }
-                }
-                (ColumnSlice::Float { .. }, Value::Int(x)) => {
-                    VecPred::FloatCmp { col, set, lit: *x as f64 }
-                }
-                (ColumnSlice::Float { .. }, Value::Float(x)) => {
-                    VecPred::FloatCmp { col, set, lit: *x }
-                }
-                (ColumnSlice::Bool { .. }, Value::Bool(b)) => {
-                    VecPred::BoolCmp { col, set, lit: *b }
-                }
-                (ColumnSlice::Str { dict, .. }, Value::Str(s)) => {
-                    let keep = (0..dict.len() as u32)
-                        .map(|c| set.accepts(dict.get(c).as_ref().cmp(s.as_ref())))
-                        .collect();
-                    VecPred::DictCmp { col, keep }
-                }
-                _ => {
-                    let ord = slice_rank(&slice).cmp(&lit_rank(lit));
-                    VecPred::Const { col, keep: set.accepts(ord) }
-                }
+            let rank = typed_rank(schema, col)?;
+            Some(match (&schema.columns[col].dtype, lit) {
+                (DataType::Int, Value::Int(x)) => VecPred::IntCmp { col, set, lit: *x },
+                (DataType::Int, Value::Float(x)) => VecPred::IntAsFloatCmp { col, set, lit: *x },
+                (DataType::Float, Value::Int(x)) => VecPred::FloatCmp { col, set, lit: *x as f64 },
+                (DataType::Float, Value::Float(x)) => VecPred::FloatCmp { col, set, lit: *x },
+                (DataType::Bool, Value::Bool(b)) => VecPred::BoolCmp { col, set, lit: *b },
+                (DataType::Text, Value::Str(s)) => VecPred::StrCmp { col, set, lit: Arc::clone(s) },
+                _ => VecPred::Const { col, keep: set.accepts(rank.cmp(&lit_rank(lit))) },
             })
         }
         _ => None,
@@ -175,13 +163,13 @@ pub(crate) fn compile_pred(e: &Expr, t: &Table, mapping: &[usize]) -> Option<Vec
 /// fire for exactly the same rows.
 pub(crate) fn split_filters<'a>(
     filters: &'a [Expr],
-    t: &Table,
+    schema: &TableSchema,
     mapping: &[usize],
 ) -> (Vec<VecPred>, &'a [Expr]) {
     let mut preds = Vec::new();
     let mut i = 0;
     while i < filters.len() {
-        match compile_pred(&filters[i], t, mapping) {
+        match compile_pred(&filters[i], schema, mapping) {
             Some(p) => {
                 preds.push(p);
                 i += 1;
@@ -216,10 +204,10 @@ pub(crate) fn compose_projection(exprs: &[Expr], mapping: &[usize]) -> Option<Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use erbium_storage::{Column, DataType, TableSchema};
+    use erbium_storage::Column;
 
-    fn table() -> Table {
-        let mut t = Table::new(TableSchema::new(
+    fn table() -> TableSchema {
+        TableSchema::new(
             "t",
             vec![
                 Column::not_null("i", DataType::Int),
@@ -228,17 +216,7 @@ mod tests {
                 Column::new("a", DataType::Int.array_of()),
             ],
             vec![0],
-        ));
-        for (i, s) in [(1i64, "x"), (2, "y"), (3, "z")] {
-            t.insert(vec![
-                Value::Int(i),
-                Value::Float(i as f64),
-                Value::str(s),
-                Value::Array(vec![Value::Int(i)]),
-            ])
-            .unwrap();
-        }
-        t
+        )
     }
 
     fn ident(n: usize) -> Vec<usize> {

@@ -38,10 +38,8 @@ pub struct Catalog {
     /// structures contribute `name`, `name#left`, `name#right`).
     stats: CatalogStats,
     /// Commit epoch: advanced once per transaction by the database layer
-    /// ([`Catalog::advance_epoch`]) and stamped into every table a
-    /// transaction touches, so row slots record the `[created, deleted)`
-    /// epoch interval they were live in. Process-local: recovery restarts
-    /// at 0 (slot stamps are visibility bookkeeping, never persisted).
+    /// ([`Catalog::advance_epoch`]); a pinned snapshot reports the epoch it
+    /// was taken at. Process-local: recovery restarts at 0.
     epoch: u64,
     /// Plain tables mutated since the last checkpoint (names inserted by
     /// [`Catalog::table_mut`], cleared by [`Catalog::mark_checkpointed`]).
@@ -169,12 +167,11 @@ impl Catalog {
     /// Mutable access to a table. Handing out `&mut` is the choke point for
     /// every CRUD path, so two pieces of bookkeeping live here: gathered
     /// statistics are conservatively marked stale (the caller may be about
-    /// to write), and the current commit epoch is stamped into the table so
-    /// slot mutations record which epoch they happened in. If a snapshot
-    /// still shares the table, `Arc::make_mut` detaches a private copy
-    /// first (copy-on-write) — the snapshot keeps the old version.
+    /// to write), and the table is marked dirty for the next checkpoint. If
+    /// a snapshot still shares the table, `Arc::make_mut` detaches a
+    /// private copy first (copy-on-write) — the snapshot keeps the old
+    /// version.
     pub fn table_mut(&mut self, name: &str) -> StorageResult<&mut Table> {
-        let epoch = self.epoch;
         let t = self
             .tables
             .get_mut(name)
@@ -184,7 +181,6 @@ impl Catalog {
             self.dirty_tables.insert(name.to_string());
         }
         let t = Arc::make_mut(t);
-        t.set_write_epoch(epoch);
         t.bump_content_epoch();
         Ok(t)
     }
@@ -233,9 +229,8 @@ impl Catalog {
     }
 
     /// Mutable access to a factorized structure; marks all three of its
-    /// statistics entries stale, copy-on-writes the structure if a
-    /// snapshot still shares it, and stamps the commit epoch into both
-    /// member tables (see [`Catalog::table_mut`]).
+    /// statistics entries stale and copy-on-writes the structure if a
+    /// snapshot still shares it (see [`Catalog::table_mut`]).
     pub fn factorized_mut(&mut self, name: &str) -> StorageResult<&mut FactorizedTable> {
         if !self.factorized.contains_key(name) {
             return Err(StorageError::TableNotFound(name.to_string()));
@@ -246,9 +241,7 @@ impl Catalog {
         if !self.dirty_facts.contains(name) {
             self.dirty_facts.insert(name.to_string());
         }
-        let epoch = self.epoch;
         let ft = Arc::make_mut(self.factorized.get_mut(name).expect("checked above"));
-        ft.set_write_epoch(epoch);
         ft.bump_content_epoch();
         Ok(ft)
     }
@@ -581,12 +574,6 @@ mod tests {
         assert_eq!(c.table("a").unwrap().len(), 1);
         assert!(snap.table("a").unwrap().get(crate::row::RowId(0)).is_some());
         assert!(c.table("a").unwrap().get(crate::row::RowId(0)).is_none());
-
-        // Epoch stamps: slot 0 lived [0, 1), slot 1 lives [1, MAX).
-        let wt = c.table("a").unwrap();
-        assert_eq!(wt.slot_epochs(0), Some((0, 1)));
-        assert_eq!(wt.slot_epochs(1), Some((1, u64::MAX)));
-        assert!(wt.slot_visible_at(0, 0) && !wt.slot_visible_at(0, 1));
         // Dropping a shared table hands the snapshot's copy back by clone.
         let dropped = c.drop_table("a").unwrap();
         assert_eq!(dropped.len(), 1);

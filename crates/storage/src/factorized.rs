@@ -187,14 +187,6 @@ impl FactorizedTable {
         c
     }
 
-    /// Stamp the catalog commit epoch into both member tables (forwarded
-    /// from `Catalog::factorized_mut`, the write choke point) so their
-    /// slot mutations record the epoch they happened in.
-    pub(crate) fn set_write_epoch(&mut self, epoch: u64) {
-        self.left.set_write_epoch(epoch);
-        self.right.set_write_epoch(epoch);
-    }
-
     pub fn left(&self) -> &Table {
         &self.left
     }

@@ -48,8 +48,8 @@ pub mod value {
 
 pub use buffer_pool::{BufferPool, BufferPoolStats, PAGE_SIZE};
 pub use catalog::Catalog;
-pub use column::{Bitmap, ColumnSlice, Columns, StringDict};
-pub use pages::SlotPin;
+pub use column::{Bitmap, ColumnSlice};
+pub use pages::{PagePin, SlotPin};
 pub use error::{StorageError, StorageResult};
 pub use factorized::{Csr, FactorizedTable};
 pub use group_commit::GroupCommitter;

@@ -1,15 +1,26 @@
 //! Fixed-size paged row storage.
 //!
-//! The row view of a [`crate::table::Table`] — the redundant full-`Row`
-//! copies that back point reads, `Other`-typed cells (arrays/structs with
-//! no typed column vector), snapshot encoding, and the row-path executor —
-//! dominates a table's memory footprint. This module splits that vector of
-//! slots into fixed-capacity **pages** so the [`crate::buffer_pool`] can
-//! evict cold ones: each page is a `Vec<Option<Row>>` of `page_rows` slots
-//! behind an `Arc`, and each page slot in the [`RowStore`] is either
-//! *resident* (payload in memory), *spilled* (payload serialized to the
-//! pool's spill file, held by a refcounted extent), or both (clean
-//! resident page with a still-valid spilled copy — eviction is then free).
+//! The rows of a [`crate::table::Table`] are its only stored form: point
+//! reads, CRUD, indexes, snapshot encoding, and every executor path read
+//! them. This module splits the table's vector of slots into
+//! fixed-capacity **pages** so the [`crate::buffer_pool`] can evict cold
+//! ones: each [`Page`] holds `page_rows` slots behind an `Arc`, and each
+//! page slot in the [`RowStore`] is either *resident* (payload in memory),
+//! *spilled* (payload serialized to the pool's spill file, held by a
+//! refcounted extent), or both (clean resident page with a still-valid
+//! spilled copy — eviction is then free).
+//!
+//! ## Column chunks
+//!
+//! A page also caches its typed column view ([`PageChunks`]): the live
+//! bitmap, and one chunk per column built in one pass over the page's rows
+//! on the first columnar read of that column (or, for a page the snapshot
+//! decoder completes, right away — see [`RowStore::build_view`]). The
+//! view lives inside the page's `Arc`, so it shares the page's fate: a
+//! mutation resets it (in place, or by detaching a copy that starts
+//! without one), and truncation or eviction drops it with the rows. A pin
+//! or snapshot that still holds the old page keeps the old view,
+//! consistent with the old rows it reads.
 //!
 //! ## Pin protocol
 //!
@@ -20,12 +31,13 @@
 //!   under `&self`, cleared only under `&mut self` at the pool's reclaim
 //!   choke points — so a borrowed row can never be deallocated while the
 //!   borrow lives, without any lock on the read path.
-//! * **Pinned reads** ([`SlotPin`], used by the executor's morsel leaves
-//!   and factorized join enumeration) clone the page `Arc`s for a slot
-//!   range up front. When the pool is over budget the decoded page is
-//!   *not* installed as resident — the pin is the only owner and the
-//!   memory returns as soon as the morsel drops it. This is what makes the
-//!   scan working set hard-bounded under a small frame budget.
+//! * **Pinned reads** ([`SlotPin`] and [`PagePin`], used by the executor's
+//!   morsel leaves, columnar kernels, and factorized join enumeration)
+//!   clone the page `Arc`s for a slot range up front. When the pool is
+//!   over budget the decoded page is *not* installed as resident — the pin
+//!   is the only owner, and the page (with any view built on it) is freed
+//!   as soon as the morsel drops it. This is what makes the scan working
+//!   set hard-bounded under a small frame budget.
 //!
 //! Writers fault the page in, then mutate through `Arc::make_mut`: in
 //! place when unshared, copy-on-write when a snapshot or pin still holds
@@ -40,16 +52,44 @@
 //! round-trip, arrays/structs included). Decoding reassembles the rows.
 
 use crate::buffer_pool::{BufferPool, Extent, PAGE_SIZE};
+use crate::column::{Bitmap, ColumnSlice, PageChunks};
 use crate::error::StorageResult;
 use crate::row::Row;
 use crate::schema::TableSchema;
 use crate::value::{DataType, Value};
 use crate::wal::{get_value, put_u32, put_value, Cursor};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// One page worth of row slots.
-pub(crate) type PageData = Vec<Option<Row>>;
+type PageData = Vec<Option<Row>>;
+
+/// A page: its row slots plus the column-chunk view derived from them.
+#[derive(Debug)]
+pub(crate) struct Page {
+    slots: PageData,
+    /// Built on the first columnar read; reset by every mutation.
+    chunks: OnceLock<PageChunks>,
+}
+
+/// A copy-on-write detach copies the rows only: the writer is about to
+/// change them, so the copy starts without a view.
+impl Clone for Page {
+    fn clone(&self) -> Page {
+        Page { slots: self.slots.clone(), chunks: OnceLock::new() }
+    }
+}
+
+impl Page {
+    fn new(slots: PageData) -> Page {
+        Page { slots, chunks: OnceLock::new() }
+    }
+
+    fn chunks(&self, arity: usize) -> &PageChunks {
+        self.chunks.get_or_init(|| PageChunks::new(&self.slots, arity))
+    }
+}
 
 /// Rows per page for a table of this schema: pick the largest power of two
 /// whose estimated payload fits in [`PAGE_SIZE`], clamped to `[16, 4096]`.
@@ -140,7 +180,7 @@ struct PageSlot {
     /// Resident payload. Set-once under `&self` (fault-in), taken only
     /// under `&mut self` (eviction) — the invariant that keeps `&Row`
     /// borrows sound without a lock.
-    data: OnceLock<Arc<PageData>>,
+    data: OnceLock<Arc<Page>>,
     /// Valid serialized copy in the spill file, if any.
     extent: Option<Arc<Extent>>,
     /// Resident payload differs from `extent` (or there is no extent).
@@ -170,7 +210,7 @@ impl Clone for PageSlot {
 impl PageSlot {
     fn fresh(cap: usize) -> PageSlot {
         let data = OnceLock::new();
-        let _ = data.set(Arc::new(Vec::with_capacity(cap)));
+        let _ = data.set(Arc::new(Page::new(Vec::with_capacity(cap))));
         PageSlot { data, extent: None, dirty: true, stamp: 0, hot: AtomicBool::new(true) }
     }
 }
@@ -183,7 +223,8 @@ pub(crate) struct RowStore {
     /// log2 of rows per page (shift+mask addressing).
     shift: u32,
     len: usize,
-    arity: usize,
+    /// Column types, for building column chunks.
+    types: Arc<[DataType]>,
 }
 
 impl std::fmt::Debug for RowStore {
@@ -209,7 +250,7 @@ impl Clone for RowStore {
             pool: self.pool.clone(),
             shift: self.shift,
             len: self.len,
-            arity: self.arity,
+            types: self.types.clone(),
         }
     }
 }
@@ -225,9 +266,13 @@ impl Drop for RowStore {
 }
 
 impl RowStore {
-    pub(crate) fn new(arity: usize, page_rows: usize, pool: Arc<BufferPool>) -> RowStore {
+    pub(crate) fn new(
+        types: Arc<[DataType]>,
+        page_rows: usize,
+        pool: Arc<BufferPool>,
+    ) -> RowStore {
         debug_assert!(page_rows.is_power_of_two());
-        RowStore { pages: Vec::new(), pool, shift: page_rows.trailing_zeros(), len: 0, arity }
+        RowStore { pages: Vec::new(), pool, shift: page_rows.trailing_zeros(), len: 0, types }
     }
 
     #[inline]
@@ -266,7 +311,7 @@ impl RowStore {
     /// Panics if the spill file fails to read or decode — the spill file
     /// is process-local cache state, so that is memory corruption, not an
     /// I/O condition the caller can handle (durable state is never here).
-    fn resident(&self, pidx: usize) -> &Arc<PageData> {
+    fn resident(&self, pidx: usize) -> &Arc<Page> {
         let slot = &self.pages[pidx];
         if let Some(d) = slot.data.get() {
             slot.hot.store(true, Ordering::Relaxed);
@@ -282,18 +327,18 @@ impl RowStore {
     /// [`RowStore::resident`] plus hit/miss accounting: a hit when the
     /// page was already in memory, a miss (counted inside the fault-in)
     /// otherwise.
-    fn resident_counted(&self, pidx: usize) -> &Arc<PageData> {
+    fn resident_counted(&self, pidx: usize) -> &Arc<Page> {
         if self.pages[pidx].data.get().is_some() {
             self.pool.note_hit();
         }
         self.resident(pidx)
     }
 
-    fn decode_extent(&self, slot: &PageSlot) -> PageData {
+    fn decode_extent(&self, slot: &PageSlot) -> Page {
         let extent =
             slot.extent.as_ref().expect("evicted page must have a spill extent");
         let bytes = extent.read().expect("buffer pool spill file unreadable");
-        decode_page(&bytes, self.arity).expect("buffer pool spill frame corrupted")
+        Page::new(decode_page(&bytes, self.types.len()).expect("buffer pool spill frame corrupted"))
     }
 
     /// The row at slot `i`, faulting its page in. `None` for empty slots
@@ -304,12 +349,12 @@ impl RowStore {
             return None;
         }
         let page = self.resident_counted(i >> self.shift);
-        page.get(i & (self.page_rows() - 1)).and_then(|s| s.as_ref())
+        page.slots.get(i & (self.page_rows() - 1)).and_then(|s| s.as_ref())
     }
 
-    /// Mutable access to the page holding slot `i`, copy-on-write when the
-    /// page is shared with a snapshot or pin. Marks the page dirty and
-    /// stamps it with the pool's write clock.
+    /// Mutable access to page `pidx`'s slots, copy-on-write when the page
+    /// is shared with a snapshot or pin. Marks the page dirty, stamps it
+    /// with the pool's write clock, and drops its column-chunk view.
     fn page_mut(&mut self, pidx: usize) -> &mut PageData {
         self.resident(pidx);
         let stamp = self.pool.write_stamp();
@@ -318,7 +363,9 @@ impl RowStore {
         slot.stamp = stamp;
         slot.extent = None; // content diverges from any spilled copy
         slot.hot.store(true, Ordering::Relaxed);
-        Arc::make_mut(slot.data.get_mut().expect("faulted in above"))
+        let page = Arc::make_mut(slot.data.get_mut().expect("faulted in above"));
+        page.chunks.take();
+        &mut page.slots
     }
 
     /// Overwrite slot `i`. Panics if out of range (same as `vec[i] = v`).
@@ -349,17 +396,9 @@ impl RowStore {
             self.pages.push(PageSlot::fresh(page_rows));
             self.pool.note_resident();
         }
-        let pidx = self.len >> self.shift;
         // The partially-filled tail page may itself have been evicted at a
-        // choke point between pushes — fault it back in before appending.
-        self.resident(pidx);
-        let stamp = self.pool.write_stamp();
-        let slot = &mut self.pages[pidx];
-        slot.dirty = true;
-        slot.stamp = stamp;
-        slot.extent = None;
-        slot.hot.store(true, Ordering::Relaxed);
-        Arc::make_mut(slot.data.get_mut().expect("faulted in above")).push(v);
+        // choke point between pushes — `page_mut` faults it back in.
+        self.page_mut(self.len >> self.shift).push(v);
         self.len += 1;
     }
 
@@ -409,7 +448,37 @@ impl RowStore {
         SlotPin { pages, first_page, shift: self.shift, mask, start, end }
     }
 
-    fn pin_page(&self, pidx: usize) -> Arc<PageData> {
+    /// Pin the pages covering `start..end` (clamped) one at a time, in slot
+    /// order: each page is pinned only when the iterator reaches it, so a
+    /// consumer that drops each [`PagePin`] before taking the next holds
+    /// one page at a time, however large the range.
+    pub(crate) fn pin_pages(
+        &self,
+        start: usize,
+        end: usize,
+    ) -> impl Iterator<Item = PagePin> + '_ {
+        let end = end.min(self.len);
+        let start = start.min(end);
+        let pages =
+            if start == end { 0..0 } else { start >> self.shift..((end - 1) >> self.shift) + 1 };
+        pages.map(move |pidx| {
+            let first = pidx << self.shift;
+            let range = start.max(first) - first..(end - first).min(self.page_rows());
+            PagePin { page: self.pin_page(pidx), types: self.types.clone(), first, range }
+        })
+    }
+
+    /// Build every column chunk of page `pidx` now (faulting it in if
+    /// needed) instead of on its first columnar read.
+    pub(crate) fn build_view(&self, pidx: usize) {
+        let page = self.resident(pidx);
+        let chunks = page.chunks(self.types.len());
+        for (c, dtype) in self.types.iter().enumerate() {
+            chunks.column(c, dtype, &page.slots);
+        }
+    }
+
+    fn pin_page(&self, pidx: usize) -> Arc<Page> {
         let slot = &self.pages[pidx];
         if let Some(d) = slot.data.get() {
             slot.hot.store(true, Ordering::Relaxed);
@@ -450,7 +519,7 @@ impl RowStore {
                 if !pool.writeback_allowed(slot.stamp) {
                     continue; // dirtied by the still-open transaction
                 }
-                let bytes = encode_page(data, self.arity);
+                let bytes = encode_page(&data.slots, self.types.len());
                 slot.extent = Some(pool.spill(&bytes)?);
                 slot.dirty = false;
             }
@@ -463,19 +532,12 @@ impl RowStore {
         Ok(evicted)
     }
 
-    /// Transient pins of every page, in slot order, with each page's first
-    /// slot index. Streaming consumers (snapshot encode, free-list
-    /// rebuild) use this to walk all slots without forcing residency.
-    pub(crate) fn page_pins(&self) -> impl Iterator<Item = (usize, Arc<PageData>)> + '_ {
-        (0..self.pages.len()).map(move |p| (p << self.shift, self.pin_page(p)))
-    }
-
     /// Materialize the full slot vector (test support).
     #[cfg(test)]
     pub(crate) fn slots_vec(&self) -> Vec<Option<Row>> {
         let mut out = Vec::with_capacity(self.len);
-        for (_, page) in self.page_pins() {
-            out.extend(page.iter().cloned());
+        for pin in self.pin_pages(0, self.len) {
+            out.extend(pin.rows().iter().cloned());
         }
         out
     }
@@ -487,7 +549,7 @@ struct SlotIter<'a> {
     store: &'a RowStore,
     i: usize,
     end: usize,
-    page: Option<&'a PageData>,
+    page: Option<&'a Page>,
     page_first: usize,
 }
 
@@ -505,8 +567,8 @@ impl<'a> Iterator for SlotIter<'a> {
             }
             let i = self.i;
             self.i += 1;
-            if let Some(row) = self.page.and_then(|p| p.get(i & mask)).and_then(|s| s.as_ref())
-            {
+            let slot = self.page.and_then(|p| p.slots.get(i & mask));
+            if let Some(row) = slot.and_then(|s| s.as_ref()) {
                 return Some((i, row));
             }
         }
@@ -519,7 +581,7 @@ impl<'a> Iterator for SlotIter<'a> {
 /// executor pins one morsel at a time — peak pinned memory is one morsel's
 /// pages per worker, independent of table size.
 pub struct SlotPin {
-    pages: Vec<Arc<PageData>>,
+    pages: Vec<Arc<Page>>,
     first_page: usize,
     shift: u32,
     mask: usize,
@@ -536,7 +598,7 @@ impl SlotPin {
             return None;
         }
         let page = self.pages.get((i >> self.shift) - self.first_page)?;
-        page.get(i & self.mask).and_then(|s| s.as_ref())
+        page.slots.get(i & self.mask).and_then(|s| s.as_ref())
     }
 
     /// Iterate occupied slots in the pinned range as `(slot, row)`.
@@ -545,8 +607,53 @@ impl SlotPin {
     }
 
     /// The pinned slot range.
-    pub fn range(&self) -> std::ops::Range<usize> {
+    pub fn range(&self) -> Range<usize> {
         self.start..self.end
+    }
+}
+
+/// One pinned page (see [`RowStore::pin_pages`]): an owning handle on the
+/// page's rows and its column-chunk view, clipped to the slot range it was
+/// pinned for. Offsets into [`PagePin::rows`] and the chunks are
+/// page-local; slot `first_slot() + i` is offset `i`.
+pub struct PagePin {
+    page: Arc<Page>,
+    types: Arc<[DataType]>,
+    first: usize,
+    range: Range<usize>,
+}
+
+impl PagePin {
+    /// Table slot index of the page's offset 0.
+    pub fn first_slot(&self) -> usize {
+        self.first
+    }
+
+    /// Page-local offsets of the pinned slot range.
+    pub fn range(&self) -> Range<usize> {
+        self.range.clone()
+    }
+
+    /// The page's slots (tombstones are `None`).
+    pub fn rows(&self) -> &[Option<Row>] {
+        &self.page.slots
+    }
+
+    /// The page's column-chunk view, cached on the page for as long as
+    /// the page is unchanged.
+    pub(crate) fn chunks(&self) -> &PageChunks {
+        self.page.chunks(self.types.len())
+    }
+
+    /// Live-slot bitmap of the page (set bit = occupied offset).
+    pub fn live(&self) -> &Bitmap {
+        self.chunks().live()
+    }
+
+    /// Typed read view of column `col`, built from the page's rows on first
+    /// use and cached with the page; `None` for array/struct columns.
+    pub fn column(&self, col: usize) -> Option<ColumnSlice<'_>> {
+        self.chunks().column(col, self.types.get(col)?, &self.page.slots)
     }
 }
 
@@ -556,7 +663,7 @@ mod tests {
     use crate::schema::Column;
 
     fn store(page_rows: usize, pool: Arc<BufferPool>) -> RowStore {
-        RowStore::new(2, page_rows, pool)
+        RowStore::new(vec![DataType::Int, DataType::Text].into(), page_rows, pool)
     }
 
     fn row(i: i64) -> Row {

@@ -154,8 +154,8 @@ fn put_table(buf: &mut Vec<u8>, t: &Table) {
 /// checkpointing a table never pulls its whole row store resident.
 fn put_slots(buf: &mut Vec<u8>, t: &Table) {
     put_u32(buf, t.slot_count() as u32);
-    for (_, page) in t.page_pins() {
-        for slot in page.iter() {
+    for pin in t.pin_pages(0..t.slot_count()) {
+        for slot in pin.rows() {
             match slot {
                 None => buf.push(0),
                 Some(row) => {

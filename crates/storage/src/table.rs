@@ -1,14 +1,14 @@
 //! Slotted row tables with primary-key enforcement and secondary indexes.
 
 use crate::buffer_pool::BufferPool;
-use crate::column::{Bitmap, ColumnSlice, Columns};
+use crate::column::{Bitmap, ColumnSlice};
 use crate::error::{StorageError, StorageResult};
 use crate::index::{HashIndex, IndexKind, SecondaryIndex};
-use crate::pages::{page_rows_for, PageData, RowStore, SlotPin};
+use crate::pages::{page_rows_for, PagePin, RowStore, SlotPin};
 use crate::row::{Row, RowId};
 use crate::schema::TableSchema;
 use crate::stats::{ColumnStats, TableStats, NDV_CAP};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use rustc_hash::FxHashSet;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -20,43 +20,26 @@ use std::sync::Arc;
 /// valid for live rows. The primary key (if declared in the schema) is
 /// enforced with a unique hash index that is maintained on every mutation.
 ///
-/// Alongside the row-shaped slot vector, every scalar column is mirrored in
-/// a typed column vector ([`Columns`]) maintained eagerly by all five write
-/// paths (insert / update / delete / restore / truncate — `place_at` and
-/// `from_slots` both funnel through `restore`). The row view stays
-/// authoritative for WAL, snapshots, CRUD, and the txn undo log; the column
-/// view feeds the engine's vectorized kernels and one-pass statistics. The
-/// two views are slot-aligned by construction.
+/// The paged rows are the table's only stored form: every write path
+/// updates them and nothing else besides the indexes. The engine's
+/// vectorized kernels read typed column chunks that each page builds from
+/// its own rows on first use (see [`crate::pages`]).
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
-    /// The row view, split into fixed-size pages managed by a
-    /// [`BufferPool`] (see [`crate::pages`]). Slot indices are unchanged
-    /// from the old flat `Vec<Option<Row>>`; only residency is managed.
+    /// The rows, split into fixed-size pages managed by a [`BufferPool`]
+    /// (see [`crate::pages`]). Slot indices are global; only residency is
+    /// managed per page.
     rows: RowStore,
-    cols: Columns,
     free: Vec<u64>,
     live: usize,
     pk_index: Option<HashIndex>,
     indexes: Vec<SecondaryIndex>,
-    /// Catalog epoch of the transaction currently writing this table,
-    /// stamped by `Catalog::table_mut` before any mutation (0 for tables
-    /// mutated outside a catalog, e.g. during construction or WAL redo).
-    write_epoch: u64,
     /// Monotonic content version, bumped by `Catalog::table_mut` every time
     /// a writer checks the table out for mutation. Incremental checkpoints
     /// compare it against the version captured at the last checkpoint to
     /// decide whether the table must be re-serialized into a delta.
     content_epoch: u64,
-    /// Per-slot `[created_epoch, deleted_epoch)` visibility interval,
-    /// slot-aligned with `rows` and maintained by all five write paths
-    /// (insert / update / delete / restore / truncate). A live slot has
-    /// `deleted == u64::MAX`. Snapshot isolation itself is structural
-    /// (published views hold `Arc`s to immutable table versions); these
-    /// stamps make the epoch each slot (dis)appeared in observable, so
-    /// tests can assert the `created <= snapshot_epoch < deleted`
-    /// invariant against what a pinned snapshot actually sees.
-    epochs: Vec<(u64, u64)>,
 }
 
 impl Table {
@@ -72,19 +55,16 @@ impl Table {
     /// `Catalog::reclaim_pages`).
     pub fn with_pool(schema: TableSchema, pool: Arc<BufferPool>) -> Table {
         let pk_index = if schema.primary_key.is_empty() { None } else { Some(HashIndex::new()) };
-        let cols = Columns::from_schema(&schema);
-        let rows = RowStore::new(schema.arity(), page_rows_for(&schema), pool);
+        let types = schema.columns.iter().map(|c| c.dtype.clone()).collect();
+        let rows = RowStore::new(types, page_rows_for(&schema), pool);
         Table {
             schema,
             rows,
-            cols,
             free: Vec::new(),
             live: 0,
             pk_index,
             indexes: Vec::new(),
-            write_epoch: 0,
             content_epoch: 0,
-            epochs: Vec::new(),
         }
     }
 
@@ -121,41 +101,6 @@ impl Table {
     /// dirty-set maintenance, before the writer touches any row.
     pub(crate) fn bump_content_epoch(&mut self) {
         self.content_epoch += 1;
-    }
-
-    /// Stamp the catalog epoch that subsequent mutations belong to. Called
-    /// by `Catalog::table_mut` (the write choke point) so every slot
-    /// touched by a transaction records the epoch it was touched in.
-    pub(crate) fn set_write_epoch(&mut self, epoch: u64) {
-        self.write_epoch = epoch;
-    }
-
-    /// The epoch last stamped via [`Table::set_write_epoch`].
-    pub fn write_epoch(&self) -> u64 {
-        self.write_epoch
-    }
-
-    /// The `[created, deleted)` epoch interval of a slot, if it was ever
-    /// occupied. Live slots report `deleted == u64::MAX`.
-    pub fn slot_epochs(&self, slot: usize) -> Option<(u64, u64)> {
-        self.epochs.get(slot).copied()
-    }
-
-    /// Would `slot` hold a live row in a snapshot pinned at `epoch`?
-    /// True iff `created <= epoch < deleted`. This is the visibility
-    /// invariant snapshot-isolation tests check; the engine itself never
-    /// filters by it (published views are structurally immutable).
-    pub fn slot_visible_at(&self, slot: usize, epoch: u64) -> bool {
-        self.slot_epochs(slot).is_some_and(|(c, d)| c <= epoch && epoch < d)
-    }
-
-    /// Write a slot's epoch interval, growing the stamp vector as needed
-    /// (mirrors how `place_at` grows the slot vector during WAL redo).
-    fn stamp_slot(&mut self, slot: usize, created: u64, deleted: u64) {
-        if slot >= self.epochs.len() {
-            self.epochs.resize(slot + 1, (0, 0));
-        }
-        self.epochs[slot] = (created, deleted);
     }
 
     pub fn schema(&self) -> &TableSchema {
@@ -202,9 +147,7 @@ impl Table {
             }
         };
         self.live += 1;
-        self.stamp_slot(rid.idx(), self.write_epoch, u64::MAX);
         let row_ref = self.rows.get(rid.idx()).expect("just inserted");
-        self.cols.set_row(rid.idx(), row_ref);
         if let Some(key) = self.schema.key_of(row_ref) {
             self.pk_index.as_mut().expect("pk index").insert(key, rid);
         }
@@ -225,8 +168,6 @@ impl Table {
     /// - validation, canonicalization, and primary-key checks (against the
     ///   index **and** within the batch) run up front, so a failure leaves
     ///   the table untouched instead of half-ingested;
-    /// - the typed column vectors grow once for the whole batch and are
-    ///   filled column-at-a-time (dictionary interning batch-at-a-time);
     /// - secondary indexes are extended in one pass at the end, not per row.
     ///
     /// Rows always land in fresh tail slots (`first..first+n`), never in
@@ -255,18 +196,10 @@ impl Table {
         if n == 0 {
             return Ok((first as u64, 0));
         }
-        self.cols.append_rows(first, &canon);
         for row in canon {
             self.rows.push(Some(row));
         }
         self.live += n;
-        if self.epochs.len() < first + n {
-            self.epochs.resize(first + n, (0, 0));
-        }
-        let epoch = self.write_epoch;
-        for stamp in &mut self.epochs[first..first + n] {
-            *stamp = (epoch, u64::MAX);
-        }
         for slot in first..first + n {
             let rid = RowId(slot as u64);
             let row = self.rows.get(slot).expect("just appended");
@@ -321,12 +254,7 @@ impl Table {
             idx.remove(&old, rid);
             idx.insert(&new_row, rid);
         }
-        self.cols.set_row(rid.idx(), &new_row);
         self.rows.set(rid.idx(), Some(new_row));
-        // An in-place update is a new row version: it becomes visible from
-        // the writing epoch onward (snapshots pinned earlier hold the old
-        // table version and never see it).
-        self.stamp_slot(rid.idx(), self.write_epoch, u64::MAX);
         Ok(old)
     }
 
@@ -338,10 +266,6 @@ impl Table {
             .ok_or_else(|| StorageError::RowNotFound { table: self.schema.name.clone(), row: rid.0 })?;
         self.free.push(rid.0);
         self.live -= 1;
-        if let Some(stamp) = self.epochs.get_mut(rid.idx()) {
-            stamp.1 = self.write_epoch;
-        }
-        self.cols.clear_slot(rid.idx());
         if let Some(key) = self.schema.key_of(&row) {
             self.pk_index.as_mut().expect("pk index").remove(&key, rid);
         }
@@ -368,14 +292,12 @@ impl Table {
         }
         self.rows.set(rid.idx(), Some(row));
         self.live += 1;
-        self.stamp_slot(rid.idx(), self.write_epoch, u64::MAX);
-        let row_ref = self.rows.get(rid.idx()).expect("just restored").clone();
-        self.cols.set_row(rid.idx(), &row_ref);
-        if let Some(key) = self.schema.key_of(&row_ref) {
+        let row_ref = self.rows.get(rid.idx()).expect("just restored");
+        if let Some(key) = self.schema.key_of(row_ref) {
             self.pk_index.as_mut().expect("pk index").insert(key, rid);
         }
         for idx in &mut self.indexes {
-            idx.insert(&row_ref, rid);
+            idx.insert(row_ref, rid);
         }
         Ok(())
     }
@@ -399,10 +321,10 @@ impl Table {
     /// places rows at exact slots rather than popping the free list).
     pub(crate) fn rebuild_free(&mut self) {
         let mut free = Vec::new();
-        for (first, page) in self.rows.page_pins() {
-            for (i, slot) in page.iter().enumerate() {
+        for pin in self.pin_pages(0..self.slot_count()) {
+            for (i, slot) in pin.rows().iter().enumerate() {
                 if slot.is_none() {
-                    free.push((first + i) as u64);
+                    free.push((pin.first_slot() + i) as u64);
                 }
             }
         }
@@ -413,18 +335,21 @@ impl Table {
     /// snapshot round-trips. The snapshot must preserve slot positions
     /// exactly so that [`RowId`]s in the WAL suffix and in factorized link
     /// vectors stay valid. Checkpoint encoding itself streams page by page
-    /// via [`Table::page_pins`] instead of materializing this vector.
+    /// via [`Table::pin_pages`] instead of materializing this vector.
     #[cfg(test)]
     pub(crate) fn slots_vec(&self) -> Vec<Option<Row>> {
         self.rows.slots_vec()
     }
 
-    /// Transient pins over every page, in slot order, tagged with the first
-    /// slot index each page covers. Pages evicted to the spill store are
-    /// decoded without being re-installed as resident, so a full-table walk
-    /// stays within the frame budget.
-    pub(crate) fn page_pins(&self) -> impl Iterator<Item = (usize, Arc<PageData>)> + '_ {
-        self.rows.page_pins()
+    /// Pin the pages covering `range` one at a time, in slot order: the
+    /// unit of columnar execution and of full-table walks (statistics,
+    /// snapshot encoding, index backfill). Bounds behave like
+    /// [`Table::pin_slots`]. Pages evicted to the spill store are decoded
+    /// without being re-installed as resident while the pool is over
+    /// budget, so a walk that drops each pin before taking the next stays
+    /// within the frame budget.
+    pub fn pin_pages(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = PagePin> + '_ {
+        self.rows.pin_pages(range.start, range.end)
     }
 
     /// Pin the pages covering `range` and return an owning handle whose
@@ -452,8 +377,9 @@ impl Table {
     }
 
     /// Append one checkpointed slot (row or tombstone) at the next slot
-    /// index: the streaming unit of the snapshot decoder. The caller is
-    /// expected to run [`Table::rebuild_free`] once after the last slot.
+    /// index: the streaming unit of the snapshot decoder. Each page it
+    /// completes gets its column-chunk view built on the spot. The caller
+    /// is expected to run [`Table::rebuild_free`] once after the last slot.
     pub(crate) fn load_slot(&mut self, slot: Option<Row>) -> StorageResult<()> {
         let i = self.rows.len();
         match slot {
@@ -463,17 +389,22 @@ impl Table {
                 self.schema.canonicalize_row(&mut row);
                 self.rows.push(Some(row));
                 self.live += 1;
-                self.stamp_slot(i, self.write_epoch, u64::MAX);
                 let rid = RowId(i as u64);
-                let row_ref = self.rows.get(i).expect("just loaded").clone();
-                self.cols.set_row(i, &row_ref);
-                if let Some(key) = self.schema.key_of(&row_ref) {
+                let row_ref = self.rows.get(i).expect("just loaded");
+                if let Some(key) = self.schema.key_of(row_ref) {
                     self.pk_index.as_mut().expect("key_of implies pk index").insert(key, rid);
                 }
                 for idx in &mut self.indexes {
-                    idx.insert(&row_ref, rid);
+                    idx.insert(row_ref, rid);
                 }
             }
+        }
+        // A full page's rows are still in cache: build its view now rather
+        // than on the first read after recovery, which would fault them in
+        // again.
+        let len = self.rows.len();
+        if len.is_multiple_of(self.rows.page_rows()) {
+            self.rows.build_view(len / self.rows.page_rows() - 1);
         }
         Ok(())
     }
@@ -514,27 +445,6 @@ impl Table {
         self.scan_slots(0..self.rows.len())
     }
 
-    /// Column-major view of the table: typed vectors per scalar column plus
-    /// the live-slot bitmap, slot-aligned with the row view. Array/struct
-    /// columns have no typed vector (`Columns::slice` returns `None`);
-    /// readers fall back to [`Table::get`] for those.
-    pub fn columns(&self) -> &Columns {
-        &self.cols
-    }
-
-    /// Typed read view of one column (`None` for array/struct columns).
-    /// Shorthand for `self.columns().slice(col)`.
-    pub fn column_slice(&self, col: usize) -> Option<ColumnSlice<'_>> {
-        self.cols.slice(col)
-    }
-
-    /// Live-slot bitmap: bit `i` is set iff slot `i` holds a live row.
-    /// Bits beyond the column view's length read as unset (trailing
-    /// tombstones may leave the bitmap shorter than [`Table::slot_count`]).
-    pub fn live_slots(&self) -> &Bitmap {
-        self.cols.live()
-    }
-
     /// Materialize all live rows (cloned).
     pub fn all_rows(&self) -> Vec<Row> {
         self.scan().map(|(_, r)| r.clone()).collect()
@@ -567,10 +477,10 @@ impl Table {
             }
         }
         let mut idx = SecondaryIndex::new(name, columns, kind);
-        for (first, page) in self.rows.page_pins() {
-            for (i, slot) in page.iter().enumerate() {
+        for pin in self.pin_pages(0..self.slot_count()) {
+            for (i, slot) in pin.rows().iter().enumerate() {
                 if let Some(row) = slot {
-                    idx.insert(row, RowId((first + i) as u64));
+                    idx.insert(row, RowId((pin.first_slot() + i) as u64));
                 }
             }
         }
@@ -615,116 +525,34 @@ impl Table {
             || self.indexes.iter().any(|i| i.columns == columns)
     }
 
-    /// Compute fresh statistics in one pass over the typed column vectors.
+    /// Compute fresh statistics in one pass over the pages' column chunks,
+    /// one pinned page at a time.
     ///
     /// Produces exactly what [`TableStats::compute`] produces over the live
     /// rows — same NDV saturation at the cap, same total-order min/max
-    /// (floats by `total_cmp`), same width accumulation order — but without
-    /// materializing or re-matching row cells: Int/Float/Bool columns hash
-    /// raw scalars, and dictionary-encoded text columns get NDV for free
-    /// from a per-code presence vector. Array/struct columns (no typed
-    /// vector) fall back to a row pass for that column only.
+    /// (floats by `total_cmp`), same widths — but Int/Float/Bool columns
+    /// hash raw scalars and text columns visit each distinct string of a
+    /// page once. Array/struct columns (no typed slice) read the rows. The
+    /// chunks built here stay cached on the pages for the queries that
+    /// follow.
     pub fn compute_stats(&self) -> TableStats {
+        let mut cols: Vec<ColumnAcc> =
+            self.schema.columns.iter().map(|c| ColumnAcc::new(&c.dtype)).collect();
+        for pin in self.pin_pages(0..self.slot_count()) {
+            for (c, acc) in cols.iter_mut().enumerate() {
+                acc.add_page(pin.live(), pin.column(c), pin.rows(), c);
+            }
+        }
         let row_count = self.live as u64;
-        let slot_count = self.rows.len();
-        let live = self.cols.live();
-        let mut columns = Vec::with_capacity(self.schema.arity());
-        let mut total_bytes = 0u64;
-        for c in 0..self.schema.arity() {
-            let (stats, bytes) = match self.cols.slice(c) {
-                Some(ColumnSlice::Int { data, valid }) => typed_column_stats(
-                    live,
-                    valid,
-                    slot_count,
-                    row_count,
-                    |i| (8, data[i]),
-                    |a, b| a < b,
-                    |k| Value::Int(*k),
-                ),
-                // Floats key NDV by bit pattern: `Value` equality over
-                // floats is `total_cmp == Equal`, which holds iff the bits
-                // match, so the u64 set has identical cardinality.
-                Some(ColumnSlice::Float { data, valid }) => typed_column_stats(
-                    live,
-                    valid,
-                    slot_count,
-                    row_count,
-                    |i| (8, data[i].to_bits()),
-                    |a, b| f64::from_bits(*a).total_cmp(&f64::from_bits(*b)).is_lt(),
-                    |k| Value::Float(f64::from_bits(*k)),
-                ),
-                Some(ColumnSlice::Bool { data, valid }) => typed_column_stats(
-                    live,
-                    valid,
-                    slot_count,
-                    row_count,
-                    |i| (1, data[i]),
-                    |a, b| !*a & *b,
-                    |k| Value::Bool(*k),
-                ),
-                Some(ColumnSlice::Str { codes, valid, dict }) => {
-                    dict_column_stats(live, valid, codes, dict, slot_count, row_count)
-                }
-                None => self.row_column_stats(c, row_count),
-            };
-            total_bytes += bytes;
-            columns.push(stats);
-        }
-        TableStats { row_count, columns, total_bytes }
-    }
-
-    /// Row-pass statistics for one array/struct column (no typed vector).
-    /// Mirrors the per-cell bookkeeping of [`TableStats::compute`].
-    fn row_column_stats(&self, col: usize, row_count: u64) -> (ColumnStats, u64) {
-        let mut out = ColumnStats::default();
-        let mut bytes = 0u64;
-        let mut width_sum = 0f64;
-        let mut arr_sum = 0f64;
-        let mut arr_count = 0u64;
-        let mut set: FxHashSet<&Value> = FxHashSet::default();
-        let mut saturated = false;
-        for (_, row) in self.scan() {
-            let v = &row[col];
-            let sz = v.approx_size();
-            bytes += sz as u64;
-            width_sum += sz as f64;
-            if v.is_null() {
-                out.null_count += 1;
-                continue;
-            }
-            if let Value::Array(vs) = v {
-                arr_sum += vs.len() as f64;
-                arr_count += 1;
-            }
-            match (&out.min, v) {
-                (None, v) => out.min = Some(v.clone()),
-                (Some(m), v) if v < m => out.min = Some(v.clone()),
-                _ => {}
-            }
-            match (&out.max, v) {
-                (None, v) => out.max = Some(v.clone()),
-                (Some(m), v) if v > m => out.max = Some(v.clone()),
-                _ => {}
-            }
-            if !saturated {
-                set.insert(v);
-                if set.len() >= NDV_CAP {
-                    saturated = true;
-                }
-            }
-        }
-        out.ndv = set.len() as u64;
-        out.avg_width = if row_count > 0 { width_sum / row_count as f64 } else { 0.0 };
-        out.avg_array_len = if arr_count > 0 { arr_sum / arr_count as f64 } else { 0.0 };
-        (out, bytes)
+        let (columns, bytes): (Vec<ColumnStats>, Vec<u64>) =
+            cols.into_iter().map(|c| c.finish(row_count)).unzip();
+        TableStats { row_count, columns, total_bytes: bytes.iter().sum() }
     }
 
     /// Remove all rows (indexes cleared too). Schema is kept.
     pub fn truncate(&mut self) {
         self.rows.clear();
-        self.cols.reset();
         self.free.clear();
-        self.epochs.clear();
         self.live = 0;
         if let Some(pk) = &mut self.pk_index {
             *pk = HashIndex::new();
@@ -741,121 +569,175 @@ impl Table {
     }
 }
 
-/// One-pass statistics over a typed scalar column. Generic over the raw
-/// key type `K` (i64 / f64-bits / bool) so Int, Float, and Bool columns
-/// share the loop; `cell(slot)` yields the value's byte width and key,
-/// `lt` is the column's total order, `to_value` lifts a key back into a
-/// [`Value`] for the min/max fields.
-fn typed_column_stats<K: Copy + Eq + Hash>(
-    live: &Bitmap,
-    valid: &Bitmap,
-    slot_count: usize,
-    row_count: u64,
-    mut cell: impl FnMut(usize) -> (u64, K),
-    mut lt: impl FnMut(&K, &K) -> bool,
-    to_value: impl Fn(&K) -> Value,
-) -> (ColumnStats, u64) {
-    let mut out = ColumnStats::default();
-    let mut bytes = 0u64;
-    let mut width_sum = 0f64;
-    let mut set: FxHashSet<K> = FxHashSet::default();
-    let mut saturated = false;
-    let mut min: Option<K> = None;
-    let mut max: Option<K> = None;
-    for slot in 0..slot_count {
-        if !live.get(slot) {
-            continue;
+/// One column's statistics over keys `K`, accumulated page by page: the
+/// NDV set (saturating at [`NDV_CAP`]), min/max, NULLs, and the summed
+/// cell widths of [`Value::approx_size`].
+struct Keyed<K> {
+    set: FxHashSet<K>,
+    min: Option<K>,
+    max: Option<K>,
+    nulls: u64,
+    bytes: u64,
+}
+
+impl<K: Clone + Eq + Hash> Keyed<K> {
+    fn new() -> Keyed<K> {
+        Keyed { set: FxHashSet::default(), min: None, max: None, nulls: 0, bytes: 0 }
+    }
+
+    /// Record a non-NULL key under the column's total order `lt`
+    /// (idempotent per distinct key, so callers may pass a repeated key
+    /// once).
+    #[inline]
+    fn key(&mut self, k: K, lt: impl Fn(&K, &K) -> bool) {
+        if self.min.as_ref().is_none_or(|m| lt(&k, m)) {
+            self.min = Some(k.clone());
         }
-        if !valid.get(slot) {
-            out.null_count += 1;
-            bytes += 1;
-            width_sum += 1.0;
-            continue;
+        if self.max.as_ref().is_none_or(|m| lt(m, &k)) {
+            self.max = Some(k.clone());
         }
-        let (w, k) = cell(slot);
-        bytes += w;
-        width_sum += w as f64;
-        match &min {
-            None => min = Some(k),
-            Some(m) if lt(&k, m) => min = Some(k),
-            _ => {}
+        if self.set.len() < NDV_CAP {
+            self.set.insert(k);
         }
-        match &max {
-            None => max = Some(k),
-            Some(m) if lt(m, &k) => max = Some(k),
-            _ => {}
+    }
+
+    fn finish(self, rows: u64, to_value: impl Fn(K) -> Value) -> (ColumnStats, u64) {
+        let out = ColumnStats {
+            ndv: self.set.len() as u64,
+            null_count: self.nulls,
+            min: self.min.map(&to_value),
+            max: self.max.map(&to_value),
+            avg_width: if rows > 0 { self.bytes as f64 / rows as f64 } else { 0.0 },
+            avg_array_len: 0.0,
+        };
+        (out, self.bytes)
+    }
+}
+
+/// [`Keyed`] statistics per column type. Scalars key by raw bits (Floats
+/// by bit pattern: `Value` float equality is `total_cmp == Equal`, which
+/// holds iff the bits match); array/struct columns key by the `Value` and
+/// also track the average array length.
+enum ColumnAcc {
+    Int(Keyed<i64>),
+    Float(Keyed<u64>),
+    Bool(Keyed<bool>),
+    Str(Keyed<Arc<str>>),
+    Other(Keyed<Value>, f64, u64),
+}
+
+impl ColumnAcc {
+    fn new(dtype: &DataType) -> ColumnAcc {
+        match dtype {
+            DataType::Int => ColumnAcc::Int(Keyed::new()),
+            DataType::Float => ColumnAcc::Float(Keyed::new()),
+            DataType::Bool => ColumnAcc::Bool(Keyed::new()),
+            DataType::Text => ColumnAcc::Str(Keyed::new()),
+            DataType::Array(_) | DataType::Struct(_) => ColumnAcc::Other(Keyed::new(), 0.0, 0),
         }
-        if !saturated {
-            set.insert(k);
-            if set.len() >= NDV_CAP {
-                saturated = true;
+    }
+
+    /// Fold the live cells of one page's column `col`.
+    fn add_page(
+        &mut self,
+        live: &Bitmap,
+        slice: Option<ColumnSlice<'_>>,
+        rows: &[Option<Row>],
+        col: usize,
+    ) {
+        let live = (0..live.len()).filter(|&i| live.get(i));
+        match (self, slice) {
+            (ColumnAcc::Int(a), Some(ColumnSlice::Int { data, valid })) => {
+                for i in live {
+                    if valid.get(i) {
+                        a.bytes += 8;
+                        a.key(data[i], |x, y| x < y);
+                    } else {
+                        a.nulls += 1;
+                        a.bytes += 1;
+                    }
+                }
+            }
+            (ColumnAcc::Float(a), Some(ColumnSlice::Float { data, valid })) => {
+                for i in live {
+                    if valid.get(i) {
+                        a.bytes += 8;
+                        a.key(data[i].to_bits(), |x, y| {
+                            f64::from_bits(*x).total_cmp(&f64::from_bits(*y)).is_lt()
+                        });
+                    } else {
+                        a.nulls += 1;
+                        a.bytes += 1;
+                    }
+                }
+            }
+            (ColumnAcc::Bool(a), Some(ColumnSlice::Bool { data, valid })) => {
+                for i in live {
+                    if valid.get(i) {
+                        a.bytes += 1;
+                        a.key(data[i], |x, y| x < y);
+                    } else {
+                        a.nulls += 1;
+                        a.bytes += 1;
+                    }
+                }
+            }
+            (ColumnAcc::Str(a), Some(ColumnSlice::Str { codes, valid, dict })) => {
+                // Each distinct string of the page is keyed once.
+                let mut seen = vec![false; dict.len()];
+                for i in live {
+                    if valid.get(i) {
+                        let code = codes[i] as usize;
+                        a.bytes += 16 + dict[code].len() as u64;
+                        if !seen[code] {
+                            seen[code] = true;
+                            a.key(Arc::clone(&dict[code]), |x, y| x < y);
+                        }
+                    } else {
+                        a.nulls += 1;
+                        a.bytes += 1;
+                    }
+                }
+            }
+            (ColumnAcc::Other(a, arr_sum, arr_count), _) => {
+                for i in live {
+                    let v = &rows[i].as_ref().expect("live slot")[col];
+                    a.bytes += v.approx_size() as u64;
+                    if v.is_null() {
+                        a.nulls += 1;
+                        continue;
+                    }
+                    if let Value::Array(vs) = v {
+                        *arr_sum += vs.len() as f64;
+                        *arr_count += 1;
+                    }
+                    a.key(v.clone(), |x, y| x < y);
+                }
+            }
+            _ => unreachable!("page chunks are typed by the same schema"),
+        }
+    }
+
+    /// The column's statistics plus its total bytes.
+    fn finish(self, rows: u64) -> (ColumnStats, u64) {
+        match self {
+            ColumnAcc::Int(a) => a.finish(rows, Value::Int),
+            ColumnAcc::Float(a) => a.finish(rows, |k| Value::Float(f64::from_bits(k))),
+            ColumnAcc::Bool(a) => a.finish(rows, Value::Bool),
+            ColumnAcc::Str(a) => a.finish(rows, Value::Str),
+            ColumnAcc::Other(a, arr_sum, arr_count) => {
+                let (mut out, bytes) = a.finish(rows, |v| v);
+                out.avg_array_len = if arr_count > 0 { arr_sum / arr_count as f64 } else { 0.0 };
+                (out, bytes)
             }
         }
     }
-    out.ndv = set.len() as u64;
-    out.avg_width = if row_count > 0 { width_sum / row_count as f64 } else { 0.0 };
-    out.min = min.as_ref().map(&to_value);
-    out.max = max.as_ref().map(&to_value);
-    (out, bytes)
-}
-
-/// One-pass statistics over a dictionary-encoded text column: NDV comes
-/// free from a per-code presence vector (no hashing of string payloads),
-/// min/max compare the dictionary strings behind the codes.
-fn dict_column_stats(
-    live: &Bitmap,
-    valid: &Bitmap,
-    codes: &[u32],
-    dict: &crate::column::StringDict,
-    slot_count: usize,
-    row_count: u64,
-) -> (ColumnStats, u64) {
-    let mut out = ColumnStats::default();
-    let mut bytes = 0u64;
-    let mut width_sum = 0f64;
-    let mut present = vec![false; dict.len()];
-    let mut live_codes = 0usize;
-    let mut min: Option<u32> = None;
-    let mut max: Option<u32> = None;
-    for (slot, &code) in codes.iter().enumerate().take(slot_count) {
-        if !live.get(slot) {
-            continue;
-        }
-        if !valid.get(slot) {
-            out.null_count += 1;
-            bytes += 1;
-            width_sum += 1.0;
-            continue;
-        }
-        let s = dict.get(code);
-        let w = 16 + s.len() as u64;
-        bytes += w;
-        width_sum += w as f64;
-        if !present[code as usize] {
-            present[code as usize] = true;
-            live_codes += 1;
-        }
-        match min {
-            None => min = Some(code),
-            Some(m) if s.as_ref() < dict.get(m).as_ref() => min = Some(code),
-            _ => {}
-        }
-        match max {
-            None => max = Some(code),
-            Some(m) if s.as_ref() > dict.get(m).as_ref() => max = Some(code),
-            _ => {}
-        }
-    }
-    out.ndv = live_codes.min(NDV_CAP) as u64;
-    out.avg_width = if row_count > 0 { width_sum / row_count as f64 } else { 0.0 };
-    out.min = min.map(|c| Value::Str(std::sync::Arc::clone(dict.get(c))));
-    out.max = max.map(|c| Value::Str(std::sync::Arc::clone(dict.get(c))));
-    (out, bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::PageChunks;
     use crate::schema::Column;
     use crate::value::DataType;
 
@@ -899,13 +781,11 @@ mod tests {
         for r in rows.clone() {
             a.insert(r).unwrap();
         }
-        b.set_write_epoch(4);
         let (first, n) = b.bulk_append(rows).unwrap();
         assert_eq!((first, n), (0, 50));
         assert_eq!(a.all_rows(), b.all_rows());
         assert_eq!(a.compute_stats(), b.compute_stats());
         assert_eq!(b.lookup_pk(&Value::Int(17)).unwrap().1[0], Value::Int(17));
-        assert_eq!(b.slot_epochs(17), Some((4, u64::MAX)), "batch slots carry the write epoch");
     }
 
     #[test]
@@ -956,8 +836,9 @@ mod tests {
         .unwrap();
         assert!(matches!(t.get(RowId(0)).unwrap()[1], Value::Float(f) if f == 5.0));
         assert_eq!(t.index_lookup(&[1], &Value::Float(5.0)).unwrap().len(), 2);
-        // Column view is slot-aligned with the batch too.
-        assert_eq!(t.column_slice(0).unwrap().value_at(1), Value::Int(2));
+        // The page view is slot-aligned with the batch too.
+        let pin = t.pin_pages(0..2).next().unwrap();
+        assert_eq!(pin.column(0).unwrap().value_at(1), Value::Int(2));
     }
 
     #[test]
@@ -1060,32 +941,6 @@ mod tests {
     }
 
     #[test]
-    fn slot_epoch_stamps_track_write_paths() {
-        let mut t = people();
-        t.set_write_epoch(3);
-        let r1 = t.insert(row(1, "ada", 36)).unwrap();
-        assert_eq!(t.slot_epochs(r1.idx()), Some((3, u64::MAX)));
-        assert!(t.slot_visible_at(r1.idx(), 3) && t.slot_visible_at(r1.idx(), 9));
-        assert!(!t.slot_visible_at(r1.idx(), 2), "not visible before creation");
-
-        t.set_write_epoch(5);
-        let old = t.delete(r1).unwrap();
-        assert_eq!(t.slot_epochs(r1.idx()), Some((3, 5)));
-        assert!(t.slot_visible_at(r1.idx(), 4) && !t.slot_visible_at(r1.idx(), 5));
-
-        t.set_write_epoch(6);
-        t.restore(r1, old).unwrap();
-        assert_eq!(t.slot_epochs(r1.idx()), Some((6, u64::MAX)));
-
-        t.set_write_epoch(8);
-        t.update(r1, row(1, "ada", 40)).unwrap();
-        assert_eq!(t.slot_epochs(r1.idx()), Some((8, u64::MAX)), "update is a new version");
-
-        t.truncate();
-        assert_eq!(t.slot_epochs(r1.idx()), None);
-    }
-
-    #[test]
     fn truncate_clears_rows_keeps_indexes() {
         let mut t = people();
         t.create_index("by_age", vec![2], IndexKind::BTree).unwrap();
@@ -1166,51 +1021,128 @@ mod tests {
     }
 
     #[test]
-    fn columnar_stats_match_row_pass_exactly() {
+    fn stats_match_a_scan_of_live_rows() {
         let t = churned_mixed_table();
-        let row_pass = TableStats::compute(t.scan().map(|(_, r)| r.as_slice()), t.schema().arity());
-        assert_eq!(t.compute_stats(), row_pass, "columnar one-pass stats must be identical");
-        // Dictionary NDV counts *live* strings only: "violet" replaced one
-        // deleted row; dead codes must not inflate the count.
-        assert_eq!(row_pass.columns[3].ndv, t.compute_stats().columns[3].ndv);
+        let scanned = TableStats::compute(t.scan().map(|(_, r)| r.as_slice()), t.schema().arity());
+        assert_eq!(t.compute_stats(), scanned, "page-by-page stats must equal a scan");
     }
 
-    #[test]
-    fn column_view_tracks_all_write_paths() {
-        let t = churned_mixed_table();
-        assert_eq!(t.live_slots().count_ones(), t.len());
-        for c in 0..4 {
-            let s = t.column_slice(c).expect("scalar column");
-            for (rid, row) in t.scan() {
-                let got = s.value_at(rid.idx());
-                match (&got, &row[c]) {
-                    (Value::Float(a), Value::Float(b)) => {
-                        assert_eq!(a.to_bits(), b.to_bits(), "col {c} slot {rid}")
+    /// Every scalar cell of every page view, floats by bit pattern, with
+    /// the live bits: a bit-for-bit fingerprint of the views of `range`.
+    fn view_cells(t: &Table, range: std::ops::Range<usize>) -> Vec<String> {
+        let mut out = Vec::new();
+        for pin in t.pin_pages(range) {
+            for i in pin.range() {
+                let mut cell = format!("{}:{}", pin.first_slot() + i, pin.live().get(i));
+                for c in 0..t.schema().arity() {
+                    match pin.column(c) {
+                        Some(ColumnSlice::Float { data, valid }) => {
+                            cell += &format!(" {}/{:x}", valid.get(i), data[i].to_bits())
+                        }
+                        Some(s) => cell += &format!(" {:?}", s.value_at(i)),
+                        None => cell += " -",
                     }
-                    (a, b) => assert_eq!(a, b, "col {c} slot {rid}"),
                 }
+                out.push(cell);
             }
         }
-        assert!(t.column_slice(4).is_none(), "array column is row-only");
-        // The trailing tombstone is dead in the live bitmap; the restored
-        // slot and the recycled slot (the 200-row reused freed slot 7) live.
-        assert!(!t.live_slots().get(19));
-        assert!(t.live_slots().get(3), "restored slot is live again");
-        assert_eq!(t.column_slice(0).unwrap().value_at(7), Value::Int(200), "freed slot recycled");
+        out
+    }
+
+    /// The view cells `view_cells` should report, derived from the rows.
+    fn row_cells(t: &Table) -> Vec<String> {
+        let arity = t.schema().arity();
+        (0..t.slot_count())
+            .map(|slot| {
+                let row = t.get(RowId(slot as u64));
+                let mut cell = format!("{slot}:{}", row.is_some());
+                for c in 0..arity {
+                    let v = row.map_or(Value::Null, |r| r[c].clone());
+                    match (&t.schema().columns[c].dtype, v) {
+                        (DataType::Array(_) | DataType::Struct(_), _) => cell += " -",
+                        (DataType::Float, Value::Float(f)) => cell += &format!(" true/{:x}", f.to_bits()),
+                        (DataType::Float, _) => cell += " false/0",
+                        (_, v) => cell += &format!(" {v:?}"),
+                    }
+                }
+                cell
+            })
+            .collect()
     }
 
     #[test]
-    fn column_view_survives_snapshot_roundtrip_and_truncate() {
+    fn page_view_matches_rows_after_every_write_path() {
         let t = churned_mixed_table();
+        assert_eq!(view_cells(&t, 0..t.slot_count()), row_cells(&t));
+        let live: usize = t.pin_pages(0..t.slot_count()).map(|p| p.live().count_ones()).sum();
+        assert_eq!(live, t.len());
+        // Round-trip through a checkpointed slot vector and truncate.
         let rebuilt = Table::from_slots(t.schema().clone(), t.slots_vec()).unwrap();
-        assert_eq!(rebuilt.compute_stats(), t.compute_stats());
-        assert_eq!(rebuilt.live_slots().count_ones(), t.len());
+        assert_eq!(view_cells(&rebuilt, 0..rebuilt.slot_count()), row_cells(&t));
         let mut t2 = t.clone();
         t2.truncate();
-        assert_eq!(t2.live_slots().count_ones(), 0);
-        assert_eq!(t2.compute_stats().row_count, 0);
-        // Insert after truncate repopulates the column view from scratch.
+        assert_eq!(t2.pin_pages(0..t.slot_count()).count(), 0, "truncate drops every page");
         t2.insert(vec![Value::Int(1), Value::Null, Value::Null, Value::str("x"), Value::Null]).unwrap();
-        assert_eq!(t2.column_slice(0).unwrap().value_at(0), Value::Int(1));
+        assert_eq!(view_cells(&t2, 0..1), row_cells(&t2));
+    }
+
+    #[test]
+    fn page_view_reflects_a_write_to_its_page() {
+        let mut t = churned_mixed_table();
+        let before = view_cells(&t, 0..t.slot_count()); // builds every view
+        t.update(RowId(2), vec![Value::Int(2), Value::Float(0.5), Value::Bool(true), Value::str("new"), Value::Null])
+            .unwrap();
+        let after = view_cells(&t, 0..t.slot_count());
+        assert_ne!(before, after, "the write reached the view");
+        assert_eq!(after, row_cells(&t), "rebuilt view equals the rows");
+        t.delete(RowId(4)).unwrap();
+        t.insert(vec![Value::Int(300), Value::Null, Value::Null, Value::Null, Value::Null]).unwrap();
+        assert_eq!(view_cells(&t, 0..t.slot_count()), row_cells(&t));
+    }
+
+    #[test]
+    fn page_view_of_pinned_snapshot_survives_writer_detach() {
+        let mut t = churned_mixed_table();
+        let old_cells = view_cells(&t, 0..t.slot_count());
+        let old_view: *const PageChunks = t.pin_pages(0..1).next().unwrap().chunks();
+        let snap = t.clone(); // shares the page and its view
+        t.update(RowId(0), vec![Value::Int(0), Value::Null, Value::Null, Value::str("w"), Value::Null])
+            .unwrap();
+        let snap_view: *const PageChunks = snap.pin_pages(0..1).next().unwrap().chunks();
+        assert!(std::ptr::eq(old_view, snap_view), "snapshot keeps the view it had");
+        assert_eq!(view_cells(&snap, 0..snap.slot_count()), old_cells);
+        let new_view: *const PageChunks = t.pin_pages(0..1).next().unwrap().chunks();
+        assert!(!std::ptr::eq(old_view, new_view), "writer detached a page without the view");
+        assert_eq!(view_cells(&t, 0..t.slot_count()), row_cells(&t));
+    }
+
+    #[test]
+    fn page_view_rebuilds_bit_for_bit_after_eviction() {
+        let dir = std::env::temp_dir().join(format!(
+            "erbium-page-view-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let pool = BufferPool::bounded(1, dir.join("pages.erb"));
+        let mut t = Table::with_pool(churned_mixed_table().schema().clone(), pool.clone());
+        for i in 0..2000i64 {
+            t.insert(vec![
+                Value::Int(i),
+                if i % 5 == 0 { Value::Null } else { Value::Float(i as f64 / 3.0) },
+                Value::Bool(i % 2 == 0),
+                Value::str(format!("s{}", i % 37)),
+                Value::Array(vec![Value::Int(i)]),
+            ])
+            .unwrap();
+        }
+        assert!(t.page_count() > 2, "data spans several pages");
+        let views = view_cells(&t, 0..t.slot_count());
+        pool.note_txn_end();
+        assert!(t.reclaim_pages(true).unwrap() > 0, "tiny budget must evict");
+        let misses = pool.stats().misses;
+        assert_eq!(view_cells(&t, 0..t.slot_count()), views, "re-faulted views are identical");
+        assert!(pool.stats().misses > misses, "views were rebuilt from re-faulted pages");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

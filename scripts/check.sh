@@ -22,7 +22,7 @@ cargo test -q --offline --test property_durability
 # and delta-checkpoint kinds + recovery chaining after bulk loads.
 cargo test -q --offline -p erbium-core --test bulk_ingest
 # Parallel-execution invariance sweep (bit-identical results across
-# columnar × threads × morsel × batch × fusion on M1–M6, an all-Value-
+# columnar × threads × morsel × batch on M1–M6, an all-Value-
 # variant property fixture, + concurrent-query stress). The M6f arms
 # expand factorized joins through the CSR adjacency view, so this sweep
 # also gates CSR-vs-row bit-identity.
@@ -31,6 +31,13 @@ cargo test -q --offline --test parallel_invariance
 # and the non-materialization proof via engine_columnar_cells_total
 # (pruned scans gather rows × pruned arity, not × table arity).
 cargo test -q --offline --test columnar_metrics
+# Page-view suite: column chunks are a read view of one row page, built
+# from its rows on first use and dropped on write, truncate and eviction.
+# A write is seen by the next columnar query (identical to the row path),
+# a pinned snapshot keeps its old view after the writer detaches the
+# page, and eviction + re-fault rebuild the view bit for bit.
+cargo test -q --offline -p erbium-storage --lib page_view
+cargo test -q --offline -p erbium-engine --lib page_view
 # Observability suite: tracing spans over the full query lifecycle,
 # Prometheus export coverage, slow-query log, and the stats-survive-
 # recovery regression (optimizer statistics must outlive a checkpoint +
@@ -85,7 +92,8 @@ fi
 cargo run -q --release --offline -p erbium-bench --bin multi_client_smoke
 # Bounded-memory smoke: the experiment workload under every paper mapping
 # with a 4-frame buffer pool on a dataset spanning ~25 row pages. Asserts
-# the pool evicted / wrote back / re-faulted pages, the resident count is
+# the pool evicted / wrote back / re-faulted pages, the query sweep itself
+# faulted pages (queries read through the pool), the resident count is
 # back under budget after reclaim, process peak RSS stays under a fixed
 # ceiling, and the M1–M6 answers (plus a full row-store fingerprint) are
 # bit-identical to an unbounded reopen of the same database.

@@ -1,6 +1,6 @@
 //! Parallel-execution invariance: the streaming executor guarantees
 //! **bit-identical** results regardless of thread count, morsel size,
-//! batch size, pipeline fusion, or columnar execution (see `DESIGN.md`
+//! batch size, or columnar execution (see `DESIGN.md`
 //! §9 — morsel-ordered reassembly, chunk-ordered aggregate merges over
 //! fixed chunk boundaries — and §11 — vectorized kernels reproduce the
 //! row path's visit order and `Value::cmp` semantics exactly). This
@@ -49,7 +49,7 @@ fn databases() -> Vec<(String, Database)> {
 /// One query per parallel operator family.
 const QUERIES: &[(&str, &str)] = &[
     // Scan with a Filter/Project chain fused into the morsel workers.
-    ("fusion", "SELECT r.r_id, r.r_a FROM R r WHERE r.r_b < 10"),
+    ("fused", "SELECT r.r_id, r.r_a FROM R r WHERE r.r_b < 10"),
     // Hash-join build + morsel-partitioned probe (E6 class).
     (
         "probe",
@@ -94,22 +94,19 @@ fn results_are_bit_identical_across_thread_morsel_batch_fusion_and_columnar_conf
             for threads in [1usize, 2, 4, 8] {
                 for morsel in [1usize, 7, 4096] {
                     for batch in [3usize, 1024] {
-                        for fusion in [true, false] {
-                            for columnar in [true, false] {
-                                let ctx = ExecContext::default()
-                                    .with_threads(threads)
-                                    .with_morsel_size(morsel)
-                                    .with_batch_size(batch)
-                                    .with_fusion(fusion)
-                                    .with_columnar(columnar);
-                                let rows = db.query_with(sql, &ctx).unwrap().rows;
-                                assert_eq!(
-                                    rows, reference,
-                                    "{mapping}/{family}: threads={threads} morsel={morsel} \
-                                     batch={batch} fusion={fusion} columnar={columnar} \
-                                     diverged from the serial row-path reference"
-                                );
-                            }
+                        for columnar in [true, false] {
+                            let ctx = ExecContext::default()
+                                .with_threads(threads)
+                                .with_morsel_size(morsel)
+                                .with_batch_size(batch)
+                                .with_columnar(columnar);
+                            let rows = db.query_with(sql, &ctx).unwrap().rows;
+                            assert_eq!(
+                                rows, reference,
+                                "{mapping}/{family}: threads={threads} morsel={morsel} \
+                                 batch={batch} columnar={columnar} \
+                                 diverged from the serial row-path reference"
+                            );
                         }
                     }
                 }
@@ -334,25 +331,21 @@ fn all_value_variants_bit_identical_columnar_on_off() {
         .0;
         for threads in [1usize, 4] {
             for morsel in [7usize, 4096] {
-                for fusion in [true, false] {
-                    for columnar in [true, false] {
-                        let ctx = ExecContext::default()
-                            .with_threads(threads)
-                            .with_morsel_size(morsel)
-                            .with_batch_size(64)
-                            .with_fusion(fusion)
-                            .with_columnar(columnar);
-                        let (rows, _) = execute_with_metrics(plan, &cat, &ctx).unwrap();
-                        // Vec<Value> equality is bit-faithful for floats
-                        // only via to_bits; compare a rendered form that
-                        // distinguishes NaN payload sign and -0.0.
-                        assert_eq!(
-                            bits(&rows),
-                            bits(&reference),
-                            "{name}: threads={threads} morsel={morsel} fusion={fusion} \
-                             columnar={columnar} diverged"
-                        );
-                    }
+                for columnar in [true, false] {
+                    let ctx = ExecContext::default()
+                        .with_threads(threads)
+                        .with_morsel_size(morsel)
+                        .with_batch_size(64)
+                        .with_columnar(columnar);
+                    let (rows, _) = execute_with_metrics(plan, &cat, &ctx).unwrap();
+                    // Vec<Value> equality is bit-faithful for floats
+                    // only via to_bits; compare a rendered form that
+                    // distinguishes NaN payload sign and -0.0.
+                    assert_eq!(
+                        bits(&rows),
+                        bits(&reference),
+                        "{name}: threads={threads} morsel={morsel} columnar={columnar} diverged"
+                    );
                 }
             }
         }
